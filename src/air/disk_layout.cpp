@@ -18,6 +18,18 @@ broadcast::BroadcastProgram MakeSkewedProgram(
       index.DiskWeights(popularity, universe));
 }
 
+std::optional<broadcast::BroadcastProgram> OnAirProgram(
+    const AirIndexHandle& index, const broadcast::DiskConfig& disks,
+    const broadcast::CodingConfig& coding) {
+  if (!disks.enabled()) {
+    if (!coding.enabled()) return std::nullopt;
+    return broadcast::MakeCodedProgram(index.program(), coding);
+  }
+  broadcast::BroadcastProgram skewed = MakeSkewedProgram(index, disks);
+  if (!coding.enabled()) return skewed;
+  return broadcast::MakeCodedProgram(skewed, coding);
+}
+
 std::vector<double> TreeDiskWeights(
     const broadcast::AirTreeBroadcast& air, const AirIndexHandle& handle,
     const datasets::RegionPopularity& popularity,

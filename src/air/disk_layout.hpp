@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file disk_layout.hpp
-/// \brief Popularity-ranked multi-disk cycle for any air index: glue between
-/// the family-agnostic Broadcast-Disks construction
-/// (broadcast::MakeMultiDiskProgram) and a family's spatial layout.
+/// \brief The on-air cycle of any air index: glue between the
+/// family-agnostic server layouts (broadcast::MakeMultiDiskProgram, then
+/// broadcast::MakeCodedProgram) and a family's spatial layout.
 ///
 /// Each bucket of the index's program is weighted by the Zipf region
 /// popularity of its spatial anchor via AirIndexHandle::DiskWeights: data
@@ -14,7 +14,10 @@
 /// root rides the hottest disk. Weights are evaluated over the unit
 /// universe, the data space of every simulated broadcast.
 
+#include <optional>
+
 #include "air/air_index.hpp"
+#include "broadcast/coding.hpp"
 #include "broadcast/disks.hpp"
 
 namespace dsi::broadcast {
@@ -29,6 +32,15 @@ namespace dsi::air {
 /// program by reference instead of calling this.
 broadcast::BroadcastProgram MakeSkewedProgram(
     const AirIndexHandle& index, const broadcast::DiskConfig& config);
+
+/// The cycle \p index airs under the server layouts: the multi-disk
+/// re-layout first (when \p disks is enabled), then the parity interleave
+/// over its physical stream (when \p coding is enabled). Returns nullopt
+/// when both are disabled — callers then air the index's own program by
+/// reference, byte-identical to a build without either layer.
+std::optional<broadcast::BroadcastProgram> OnAirProgram(
+    const AirIndexHandle& index, const broadcast::DiskConfig& disks,
+    const broadcast::CodingConfig& coding);
 
 /// Subtree-max DiskWeights for AirTreeBroadcast-backed families (R-tree,
 /// HCI): each data bucket weighs its anchor's region, each node occurrence

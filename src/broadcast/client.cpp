@@ -104,63 +104,41 @@ void ClientSession::ArmErrorModel() {
   }
 }
 
-size_t ClientSession::PhysSlot(size_t data_slot) const {
-  if (!program_->coded()) return data_slot;
-  // Every full group of g data buckets is followed by p parity buckets, so
-  // a data slot shifts right by p per completed group before it.
-  const size_t g = program_->coding_group();
-  return data_slot + (data_slot / g) * program_->coding_parity();
+uint64_t ClientSession::CyclePos() const {
+  return (now_ - gen_start_) % program_->cycle_packets();
 }
 
-size_t ClientSession::NextPhysOf(size_t data_slot) const {
-  if (program_->multi_disk()) {
-    const std::vector<uint32_t>& airings = program_->AiringsOf(data_slot);
-    size_t best = airings.front();
-    uint64_t best_wait = PhysWait(best);
-    for (size_t i = 1; i < airings.size(); ++i) {
-      const uint64_t wait = PhysWait(airings[i]);
-      if (wait < best_wait) {
-        best_wait = wait;
-        best = airings[i];
-      }
-    }
-    return best;
+size_t ClientSession::NextAiring(size_t data_slot, uint64_t pos) const {
+  if (program_->flat()) return data_slot;
+  const std::span<const uint32_t> airings = program_->AiringsOf(data_slot);
+  for (const uint32_t phys : airings) {
+    if (program_->bucket(phys).start_packet >= pos) return phys;
   }
-  return PhysSlot(data_slot);
+  return airings.front();
 }
 
-size_t ClientSession::PhysToData(size_t phys_slot) const {
-  if (program_->multi_disk()) return program_->DataSlotOf(phys_slot);
-  if (!program_->coded()) return phys_slot;
-  const size_t stride =
-      static_cast<size_t>(program_->coding_group()) + program_->coding_parity();
-  const size_t group = phys_slot / stride;
-  assert(phys_slot - group * stride <
-         static_cast<size_t>(program_->coding_group()));
-  return group * program_->coding_group() + (phys_slot - group * stride);
-}
-
-uint64_t ClientSession::PhysWait(size_t phys_slot) const {
-  const uint64_t cycle = program_->cycle_packets();
-  const uint64_t pos = (now_ - gen_start_) % cycle;
+uint64_t ClientSession::PhysWait(size_t phys_slot, uint64_t pos) const {
   const uint64_t start = program_->bucket(phys_slot).start_packet;
-  return start >= pos ? start - pos : cycle - pos + start;
+  return start >= pos ? start - pos : program_->cycle_packets() - pos + start;
+}
+
+size_t ClientSession::NextDataBucket(uint64_t pos) const {
+  size_t phys = program_->SlotStartingAtOrAfter(pos);
+  while (program_->bucket(phys).kind == BucketKind::kParity) {
+    phys = phys + 1 < program_->num_buckets() ? phys + 1 : 0;
+  }
+  return phys;
 }
 
 void ClientSession::ParkAtNextBoundary() {
   while (true) {
     SyncGeneration();
-    const uint64_t cycle = program_->cycle_packets();
-    const uint64_t pos = (now_ - gen_start_) % cycle;
-    size_t slot = program_->SlotStartingAtOrAfter(pos);
     // Parity symbols are no tune-in target: park on the next DATA bucket
     // boundary, dozing over any parity tail in between (parity sits only
     // between groups, so nothing a client could want goes by).
-    while (program_->bucket(slot).kind == BucketKind::kParity) {
-      slot = slot + 1 < program_->num_buckets() ? slot + 1 : 0;
-    }
-    const uint64_t start = program_->bucket(slot).start_packet;
-    const uint64_t delta = start >= pos ? start - pos : (cycle - pos) + start;
+    const uint64_t pos = CyclePos();
+    const size_t slot = NextDataBucket(pos);
+    const uint64_t delta = PhysWait(slot, pos);
     // A wrap to the next cycle can land exactly on a republication instant:
     // the boundary then belongs to the incoming generation — re-sync and
     // park on ITS first bucket (offset 0 of the new program, so the next
@@ -170,7 +148,7 @@ void ClientSession::ParkAtNextBoundary() {
       continue;
     }
     AdvanceTo(now_ + delta);
-    current_slot_ = PhysToData(slot);
+    current_slot_ = program_->DataSlotOf(slot);
     return;
   }
 }
@@ -238,7 +216,8 @@ ClientSession ClientSession::ForkColdSession(uint64_t tune_in_packet,
 
 uint64_t ClientSession::PacketsUntil(size_t slot) const {
   assert(probed_);
-  return PhysWait(NextPhysOf(slot));
+  const uint64_t pos = CyclePos();
+  return PhysWait(NextAiring(slot, pos), pos);
 }
 
 void ClientSession::DozeTo(size_t slot) {
@@ -247,18 +226,22 @@ void ClientSession::DozeTo(size_t slot) {
 }
 
 bool ClientSession::ReadBucket(size_t slot) {
+  assert(probed_);
   // Coded broadcasts: the erasure-decode buffer may already hold an intact
   // copy of this bucket — heard as a group symbol during a repair of a
   // neighbor, or reconstructed by one. Serving it from the buffer costs no
   // airtime at all (the radio stays off; the clock does not move), which
   // is exactly what keeps sequential scans affordable when a repair has
-  // consumed the airings the scan was about to read.
+  // consumed the airings the scan was about to read. On a multi-disk cycle
+  // the nearest repetition depends on where the session stands right now;
+  // the read targets exactly that airing.
+  const uint64_t pos = CyclePos();
+  const size_t phys = NextAiring(slot, pos);
+  const uint64_t wait = PhysWait(phys, pos);
   if (program_->coded()) {
-    const size_t phys = PhysSlot(slot);
-    const size_t stride =
-        program_->coding_group() + program_->coding_parity();
-    const size_t member = phys - (phys / stride) * stride;
-    if (heard_group_ == phys / stride && heard_gen_ == generation_) {
+    const size_t group = program_->GroupOf(phys);
+    const size_t member = phys - program_->GroupStart(group);
+    if (heard_group_ == group && heard_gen_ == generation_) {
       if (((heard_mask_ >> member) & 1) != 0) {
         current_slot_ = (slot + 1) % program_->num_data_buckets();
         return true;
@@ -271,7 +254,7 @@ bool ClientSession::ReadBucket(size_t slot) {
       // so a deliberate blocking retry dozes to the next airing like any
       // plain loss and time always progresses.
       if (((lost_mask_ >> member) & 1) != 0) {
-        if (TryRepair(slot, heard_occ_)) {
+        if (TryRepair(phys, heard_occ_)) {
           ++repaired_;
           return true;
         }
@@ -286,8 +269,8 @@ bool ClientSession::ReadBucket(size_t slot) {
   // hears one packet stamped with a newer generation, and re-synchronizes
   // like the initial probe. No loss coin is drawn: nothing was on air to
   // lose; generation() advancing is the caller's republication signal.
-  if (now_ + PacketsUntil(slot) >= gen_end_) {
-    AdvanceTo(now_ + PacketsUntil(slot));
+  if (now_ + wait >= gen_end_) {
+    AdvanceTo(now_ + wait);
     const uint64_t listen_start = now_;
     Listen(1);
     if (trace_ != nullptr) {
@@ -297,11 +280,7 @@ bool ClientSession::ReadBucket(size_t slot) {
     ParkAtNextBoundary();
     return false;
   }
-  // Resolve the target airing before dozing: on a multi-disk cycle the
-  // nearest repetition depends on where the session stands right now, and
-  // DozeTo moves the clock to exactly that airing's boundary.
-  const size_t phys = NextPhysOf(slot);
-  DozeTo(slot);
+  AdvanceTo(now_ + wait);
   const Bucket& b = program_->bucket(phys);
   const uint64_t listen_start = now_;
   Listen(b.packets);
@@ -314,15 +293,12 @@ bool ClientSession::ReadBucket(size_t slot) {
     trace_->push_back(
         TraceEvent{TraceEvent::Kind::kListen, listen_start, now_, slot, lost});
   }
-  if (!lost) {
-    NoteHeard(phys, listen_start);  // feed the erasure-decode buffer
-    return true;
-  }
+  NoteSymbol(phys, listen_start, !lost);  // feed the erasure-decode buffer
+  if (!lost) return true;
   if (program_->coded()) {
-    NoteLost(phys, listen_start);
     const uint64_t occ =
         (listen_start - gen_start_) / program_->cycle_packets();
-    if (TryRepair(slot, occ)) {
+    if (TryRepair(phys, occ)) {
       ++repaired_;
       return true;
     }
@@ -392,11 +368,12 @@ bool ClientSession::BurstLost(uint64_t start, uint64_t packets) const {
   return false;
 }
 
-void ClientSession::NoteHeard(size_t phys_slot, uint64_t listen_start) {
+void ClientSession::NoteSymbol(size_t phys_slot, uint64_t listen_start,
+                               bool heard) {
   if (!program_->coded()) return;
-  const size_t stride = program_->coding_group() + program_->coding_parity();
-  const size_t group = phys_slot / stride;
-  const size_t member = phys_slot - group * stride;
+  const size_t group = program_->GroupOf(phys_slot);
+  const uint64_t bit = uint64_t{1}
+                       << (phys_slot - program_->GroupStart(group));
   const uint64_t occ =
       (listen_start - gen_start_) / program_->cycle_packets();
   if (heard_group_ != group || heard_occ_ != occ ||
@@ -410,39 +387,23 @@ void ClientSession::NoteHeard(size_t phys_slot, uint64_t listen_start) {
     heard_mask_ = 0;
     lost_mask_ = 0;
   }
-  heard_mask_ |= uint64_t{1} << member;
-  lost_mask_ &= ~(uint64_t{1} << member);
-}
-
-void ClientSession::NoteLost(size_t phys_slot, uint64_t listen_start) {
-  if (!program_->coded()) return;
-  const size_t stride = program_->coding_group() + program_->coding_parity();
-  const size_t group = phys_slot / stride;
-  const size_t member = phys_slot - group * stride;
-  const uint64_t occ =
-      (listen_start - gen_start_) / program_->cycle_packets();
-  if (heard_group_ != group || heard_occ_ != occ ||
-      heard_gen_ != generation_) {
-    heard_group_ = group;
-    heard_occ_ = occ;
-    heard_gen_ = generation_;
-    heard_mask_ = 0;
-    lost_mask_ = 0;
+  if (heard) {
+    heard_mask_ |= bit;
+    lost_mask_ &= ~bit;
+  } else {
+    lost_mask_ |= bit;
   }
-  lost_mask_ |= uint64_t{1} << member;
 }
 
-bool ClientSession::TryRepair(size_t data_slot, uint64_t occ) {
-  const size_t g = program_->coding_group();
-  const size_t p = program_->coding_parity();
-  const size_t n = program_->num_data_buckets();
-  const size_t group = data_slot / g;
-  const size_t d = std::min(g, n - group * g);  // short wrap-around group
-  const size_t base = group * (g + p);  // physical slot of the first member
-  const size_t members = d + p;
-  const size_t target = data_slot - group * g;
+bool ClientSession::TryRepair(size_t phys_slot, uint64_t occ) {
+  const size_t group = program_->GroupOf(phys_slot);
+  const size_t base = program_->GroupStart(group);  // first member
+  const size_t members = program_->GroupStart(group + 1) - base;
+  // Data members; the short wrap-around group at the cycle end has fewer.
+  const size_t d = members - program_->coding_parity();
+  const size_t target = phys_slot - base;
   const uint64_t cycle = program_->cycle_packets();
-  const Bucket& lost_bucket = program_->bucket(base + target);
+  const Bucket& lost_bucket = program_->bucket(phys_slot);
   const uint64_t occ_start = gen_start_ + occ * cycle;
 
   // Symbols of this group the client already holds from this occurrence
@@ -500,12 +461,9 @@ bool ClientSession::TryRepair(size_t data_slot, uint64_t occ) {
       trace_->push_back(TraceEvent{TraceEvent::Kind::kRepair, listen_start,
                                    now_, base + m, lost});
     }
-    if (lost) {
-      NoteLost(base + m, listen_start);
-      continue;
-    }
+    NoteSymbol(base + m, listen_start, !lost);
+    if (lost) continue;
     have |= uint64_t{1} << m;
-    NoteHeard(base + m, listen_start);
     if (++collected >= d) recovered = true;  // d-of-(d+p): decode closes
   }
   if (recovered) {
@@ -514,7 +472,7 @@ bool ClientSession::TryRepair(size_t data_slot, uint64_t occ) {
     // consumed (the scan's next buckets) are served from the buffer
     // instead of waiting a cycle for airings the client already spent
     // tuning time on.
-    NoteHeard(base + target, occ_start + lost_bucket.start_packet);
+    NoteSymbol(phys_slot, occ_start + lost_bucket.start_packet, true);
     heard_mask_ =
         members >= 64 ? ~uint64_t{0} : (uint64_t{1} << members) - 1;
     lost_mask_ = 0;
@@ -522,12 +480,7 @@ bool ClientSession::TryRepair(size_t data_slot, uint64_t occ) {
   // Rest where the repair ended; the next data bucket to start (nothing but
   // parity can sit in between) is the parked slot, exactly like the tail of
   // a normal read.
-  const uint64_t pos = (now_ - gen_start_) % cycle;
-  size_t phys = program_->SlotStartingAtOrAfter(pos);
-  while (program_->bucket(phys).kind == BucketKind::kParity) {
-    phys = phys + 1 < program_->num_buckets() ? phys + 1 : 0;
-  }
-  current_slot_ = PhysToData(phys);
+  current_slot_ = program_->DataSlotOf(NextDataBucket(CyclePos()));
   return recovered;
 }
 
@@ -536,7 +489,7 @@ void ClientSession::SkipBucket() {
   // bucket's boundary (parity in flight): doze up to it first. Uncoded
   // sessions are already parked there, so the doze is zero packets.
   DozeTo(current_slot_);
-  const Bucket& b = program_->bucket(NextPhysOf(current_slot_));
+  const Bucket& b = program_->bucket(NextAiring(current_slot_, CyclePos()));
   AdvanceTo(now_ + b.packets);
   current_slot_ = (current_slot_ + 1) % program_->num_data_buckets();
 }

@@ -108,8 +108,9 @@ struct TraceEvent {
 /// (BroadcastProgram::coded(), see broadcast/coding.hpp) the session keeps
 /// presenting the DATA slot space to its caller — every slot parameter and
 /// every slot it reports refers to the data buckets in broadcast order, and
-/// the parity schedule learned from the packet header drives an internal
-/// data-to-physical translation. Query clients are coding-oblivious: a read
+/// the program's air schedule drives an internal data-to-physical
+/// translation (on a coded multi-disk cycle, group members are physical
+/// airings of the disk stream). Query clients are coding-oblivious: a read
 /// that loses its bucket transparently listens to the group's remaining
 /// data+parity symbols still in flight (and, across later cycles, the ones
 /// already missed) and reconstructs the loss from any d-of-(d+p) survivors,
@@ -263,20 +264,21 @@ class ClientSession {
   /// coded cycle). Sets current_slot_.
   void ParkAtNextBoundary();
 
-  /// Physical slot of data slot \p data_slot in the on-air cycle (identity
-  /// on uncoded programs). Multi-disk cycles have no unique physical slot —
-  /// use NextPhysOf there.
-  size_t PhysSlot(size_t data_slot) const;
-  /// Physical slot of the nearest upcoming airing of data slot
-  /// \p data_slot: on a multi-disk cycle hot slots air several times and
-  /// the session always resolves a read to whichever repetition starts
-  /// soonest; otherwise this is PhysSlot.
-  size_t NextPhysOf(size_t data_slot) const;
-  /// Data slot of physical slot \p phys_slot (must be a data bucket).
-  size_t PhysToData(size_t phys_slot) const;
-  /// Doze distance from now to the next airing of physical slot
-  /// \p phys_slot (0 if it starts right now).
-  uint64_t PhysWait(size_t phys_slot) const;
+  /// Cycle-relative packet offset of now within the synchronized
+  /// generation: the \p pos the lookups below take.
+  uint64_t CyclePos() const;
+  /// Physical slot of the nearest airing of data slot \p data_slot from
+  /// cycle offset \p pos: the first one starting at or after \p pos, else
+  /// the first of the next cycle. Identity on flat programs (no table
+  /// lookup); on a multi-disk cycle hot slots air several times and a read
+  /// always resolves to whichever repetition starts soonest.
+  size_t NextAiring(size_t data_slot, uint64_t pos) const;
+  /// Physical slot of the first data (non-parity) bucket starting at or
+  /// after \p pos.
+  size_t NextDataBucket(uint64_t pos) const;
+  /// Doze distance from cycle offset \p pos to the next airing of physical
+  /// slot \p phys_slot (0 if it starts right there).
+  uint64_t PhysWait(size_t phys_slot, uint64_t pos) const;
   /// One loss coin for the bucket instance of \p phys_slot whose listen
   /// covered [listen_start, listen_start + packets). Consumes receiver
   /// state for the receiver-local modes (kPerReadLoss rng draws, the
@@ -284,23 +286,20 @@ class ClientSession {
   bool DrawLoss(size_t phys_slot, uint64_t listen_start, uint64_t packets);
   /// kBurstLoss: whether any channel burst overlaps [start, start+packets).
   bool BurstLost(uint64_t start, uint64_t packets) const;
-  /// Records that the client holds an intact copy of physical slot
-  /// \p phys_slot from the cycle occurrence containing \p listen_start:
-  /// the per-group symbol buffer a real receiver keeps for erasure
-  /// decoding. Tracks one (group, occurrence) at a time — the sequential
-  /// access pattern of every family — and no-ops on uncoded programs.
-  void NoteHeard(size_t phys_slot, uint64_t listen_start);
-  /// Records a listened-and-LOST airing of \p phys_slot in the same
-  /// per-group buffer (the negative counterpart of NoteHeard). A later
-  /// ReadBucket of that slot knows the occurrence's airing is gone without
-  /// waiting for it again and can fail immediately instead of blocking a
-  /// full cycle.
-  void NoteLost(size_t phys_slot, uint64_t listen_start);
-  /// Reconstruction path for a lost read of \p data_slot whose airing
-  /// belonged to cycle occurrence \p occ of the current generation.
+  /// Records one listened airing of physical slot \p phys_slot from the
+  /// cycle occurrence containing \p listen_start in the per-group symbol
+  /// buffer a real receiver keeps for erasure decoding: an intact copy
+  /// (\p heard) or a lost airing. A later ReadBucket of a lost slot knows
+  /// the occurrence's airing is gone without waiting for it again and can
+  /// fail immediately instead of blocking a full cycle. Tracks one (group,
+  /// occurrence) at a time — the sequential access pattern of every family
+  /// — and no-ops on uncoded programs.
+  void NoteSymbol(size_t phys_slot, uint64_t listen_start, bool heard);
+  /// Reconstruction path for a lost airing at physical slot \p phys_slot
+  /// in cycle occurrence \p occ of the current generation.
   /// Decodes from any d distinct intact symbols of the bucket's parity
   /// group, combining (a) symbols already buffered from this occurrence
-  /// (NoteHeard — free, the client holds them) with (b) the group symbols
+  /// (NoteSymbol — free, the client holds them) with (b) the group symbols
   /// still IN FLIGHT in the same occurrence, listened in broadcast order.
   /// Never dozes across the cycle: if the in-flight tail cannot reach d
   /// symbols the repair fails fast with zero extra listens and the
@@ -309,7 +308,7 @@ class ClientSession {
   /// symbols determine them all), so sibling reads whose airings the
   /// repair consumed are served for free. Leaves the session parked for
   /// the next data bucket and returns whether the bucket was recovered.
-  bool TryRepair(size_t data_slot, uint64_t occ);
+  bool TryRepair(size_t phys_slot, uint64_t occ);
 
   transport::SimTransport sim_;           // embedded simulator substrate
   transport::Transport* ext_ = nullptr;   // external substrate (overrides)

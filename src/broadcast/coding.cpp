@@ -12,15 +12,21 @@ BroadcastProgram MakeCodedProgram(const BroadcastProgram& data,
   // Client-side reconstruction tracks group members in a 64-bit survivor
   // mask; far beyond any sensible redundancy schedule anyway.
   assert(static_cast<size_t>(config.group) + config.parity <= 64);
+  assert(!data.coded());
 
-  BroadcastProgram coded(data.packet_capacity());
+  // The second transform: groups are cut from the PHYSICAL stream of
+  // \p data, so a multi-disk cycle keeps its repetitions (and its data
+  // slot map) and gains parity after every `group` airings.
+  BroadcastProgram coded(data.packet_capacity(),
+                         Layout{data.num_disks(), config.group, config.parity});
   const size_t n = data.num_buckets();
   uint32_t group_index = 0;
   uint32_t group_max_bytes = 0;
   uint32_t in_group = 0;
   for (size_t slot = 0; slot < n; ++slot) {
     const Bucket& b = data.bucket(slot);
-    coded.AddBucket(b.kind, b.payload, b.size_bytes);
+    coded.AddBucket(b.kind, b.payload, b.size_bytes,
+                    static_cast<uint32_t>(data.DataSlotOf(slot)));
     group_max_bytes = std::max(group_max_bytes, b.size_bytes);
     if (++in_group == config.group || slot + 1 == n) {
       // Parity symbols are padded to the widest member (an XOR/RS code
@@ -35,7 +41,6 @@ BroadcastProgram MakeCodedProgram(const BroadcastProgram& data,
       group_max_bytes = 0;
     }
   }
-  coded.SetCodingSchedule(config.group, config.parity, n);
   coded.Finalize();
   return coded;
 }

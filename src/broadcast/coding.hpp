@@ -48,11 +48,14 @@ struct CodingConfig {
 };
 
 /// Re-emits \p data with parity buckets interleaved after every group of
-/// \p config.group data buckets (the last, possibly short, group wraps at
-/// the cycle boundary and still gets full parity). Data buckets keep their
-/// kind/payload/size and relative order; slot numbers shift — clients keep
-/// addressing DATA slots and ClientSession translates. Returns a plain copy
-/// when coding is disabled or the cycle is empty.
+/// \p config.group buckets (the last, possibly short, group wraps at the
+/// cycle boundary and still gets full parity). Data buckets keep their
+/// kind/payload/size, relative order and data slot; physical slots shift —
+/// clients keep addressing DATA slots and ClientSession translates through
+/// the program's air schedule. \p data may be flat or a multi-disk cycle
+/// (coding is the second transform: groups then span the disk stream's
+/// airings) but not already coded. Returns a plain copy when coding is
+/// disabled or the cycle is empty.
 BroadcastProgram MakeCodedProgram(const BroadcastProgram& data,
                                   const CodingConfig& config);
 

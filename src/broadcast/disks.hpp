@@ -20,13 +20,15 @@
 /// table before its objects) survive whenever the chain shares a disk.
 ///
 /// Buckets keep their kind/payload/size; only the airing schedule changes.
-/// Clients keep addressing the flat program's slot space — the multi-disk
-/// program records which data slot each physical bucket airs
-/// (BroadcastProgram::SetDiskSchedule) and ClientSession resolves every
-/// read to the nearest upcoming airing. A single-disk config reproduces
-/// the flat cycle exactly; the simulator then keeps the index's own
-/// program by reference, so disabled runs are byte-identical to a build
-/// without this layer (the same contract CodingConfig{0,0} carries).
+/// Clients keep addressing the flat program's slot space — every physical
+/// bucket names the data slot it airs (the program's air schedule) and
+/// ClientSession resolves every read to the nearest upcoming airing. This
+/// is the first of the two on-air transforms: erasure coding
+/// (broadcast/coding.hpp) may then group the disk stream into parity
+/// groups. A single-disk config reproduces the flat cycle exactly; the
+/// simulator then keeps the index's own program by reference, so disabled
+/// runs are byte-identical to a build without this layer (the same
+/// contract CodingConfig{0,0} carries).
 
 #include <cstdint>
 #include <vector>
@@ -36,7 +38,7 @@
 namespace dsi::broadcast {
 
 /// Server-side multi-disk knobs. Disabled (the default) reproduces the flat
-/// single-frequency broadcast exactly. Mutually exclusive with coding.
+/// single-frequency broadcast exactly.
 struct DiskConfig {
   uint32_t num_disks = 1;  ///< Frequency tiers; 1 disables (flat cycle).
   double skew = 0.0;       ///< Zipf skew of the region popularity ranking.
@@ -50,8 +52,9 @@ struct DiskConfig {
 /// \p weights (descending, ties by slot order), the hottest share binned
 /// onto the fastest disk, and the chunked minor-cycle schedule above is
 /// materialized bucket by bucket. \p weights must have one entry per slot
-/// of \p flat, which must be uncoded. \p num_disks is clamped to 3 (and to
-/// the slot count); a single-disk request returns a plain copy.
+/// of \p flat, which must be flat (no transform applied yet). \p num_disks
+/// is clamped to 3 (and to the slot count); a single-disk request returns a
+/// plain copy.
 BroadcastProgram MakeMultiDiskProgram(const BroadcastProgram& flat,
                                       uint32_t num_disks,
                                       const std::vector<double>& weights);

@@ -11,11 +11,25 @@
 ///    always starts on a packet boundary (clients synchronize per packet).
 ///  * The program repeats forever; global time is measured in packets and
 ///    metrics are reported in bytes (packets x capacity).
+///
+/// A program built from an index is *flat*: its physical slots are the
+/// data slots clients address. The server may re-lay a flat cycle out with
+/// two transforms, applied in this order:
+///  1. Broadcast Disks (broadcast/disks.hpp) repeats hot buckets, so one
+///     data slot airs at one or more physical slots;
+///  2. erasure coding (broadcast/coding.hpp) cuts the resulting physical
+///     stream into groups of `coding_group` buckets, each closed by
+///     `coding_parity` parity buckets.
+/// Either, both or neither may apply. A re-laid-out program carries one air
+/// schedule for all of them: every physical slot's data slot and parity
+/// group, every data slot's airings in start order, and every group's first
+/// physical slot. A flat program stores no schedule.
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace dsi::broadcast {
@@ -35,18 +49,37 @@ struct Bucket {
   uint32_t size_bytes = 0;  ///< Serialized size; on-air size rounds up.
   uint64_t packets = 0;     ///< Derived: ceil(size_bytes / capacity).
   uint64_t start_packet = 0;  ///< Derived: offset within the cycle.
+
+  bool operator==(const Bucket&) const = default;
+};
+
+/// Which transforms laid the cycle out. It rides the packet header (next to
+/// the bucket-boundary offset and the generation stamp), so one probe
+/// teaches a client the layout; the default is the flat cycle.
+struct Layout {
+  uint32_t num_disks = 1;      ///< Frequency tiers (1 = every slot airs once).
+  uint32_t coding_group = 0;   ///< Buckets per parity group (0 = uncoded).
+  uint32_t coding_parity = 0;  ///< Parity buckets closing each group.
+
+  bool operator==(const Layout&) const = default;
 };
 
 /// An immutable-after-finalize broadcast cycle description.
 class BroadcastProgram {
  public:
-  explicit BroadcastProgram(size_t packet_capacity)
-      : packet_capacity_(packet_capacity) {
+  /// The data slot of a parity bucket (it airs no data slot).
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  explicit BroadcastProgram(size_t packet_capacity, Layout layout = {})
+      : packet_capacity_(packet_capacity), layout_(layout) {
     assert(packet_capacity_ > 0);
   }
 
-  /// Appends a bucket; returns its slot index within the cycle.
-  size_t AddBucket(BucketKind kind, uint32_t payload, uint32_t size_bytes) {
+  /// Appends a bucket; returns its physical slot within the cycle. A
+  /// re-laid-out program must name the \p data_slot each non-parity bucket
+  /// airs; a flat program ignores it (slot i airs data slot i).
+  size_t AddBucket(BucketKind kind, uint32_t payload, uint32_t size_bytes,
+                   uint32_t data_slot = kNoSlot) {
     assert(!finalized_);
     Bucket b;
     b.kind = kind;
@@ -55,72 +88,17 @@ class BroadcastProgram {
     b.packets = (size_bytes + packet_capacity_ - 1) / packet_capacity_;
     if (b.packets == 0) b.packets = 1;
     buckets_.push_back(b);
+    if (!flat()) {
+      assert((kind == BucketKind::kParity) == (data_slot == kNoSlot));
+      air_.push_back(AirSlot{data_slot, 0});
+    }
     return buckets_.size() - 1;
   }
 
-  /// Computes packet offsets; no further AddBucket calls allowed.
-  void Finalize() {
-    uint64_t off = 0;
-    for (Bucket& b : buckets_) {
-      b.start_packet = off;
-      off += b.packets;
-    }
-    cycle_packets_ = off;
-    // Packet -> slot acceleration: stride_slot_[i] is the slot covering
-    // packet i * slot_stride_. With the stride at the mean bucket length,
-    // SlotAtPacket finishes after O(1) expected forward steps — it runs on
-    // the per-session tune-in/doze hot path.
-    if (!buckets_.empty() && cycle_packets_ > 0) {
-      slot_stride_ = std::max<uint64_t>(1, cycle_packets_ / buckets_.size());
-      stride_slot_.resize(cycle_packets_ / slot_stride_ + 1);
-      size_t slot = 0;
-      for (size_t i = 0; i < stride_slot_.size(); ++i) {
-        const uint64_t packet = i * slot_stride_;
-        while (slot + 1 < buckets_.size() &&
-               buckets_[slot + 1].start_packet <= packet) {
-          ++slot;
-        }
-        stride_slot_[i] = slot;
-      }
-    }
-    finalized_ = true;
-  }
-
-  /// Declares this program an erasure-coded broadcast (MakeCodedProgram is
-  /// the only caller): the first \p num_data buckets of every run of
-  /// \p group data buckets are followed by \p parity parity buckets. The
-  /// schedule is part of the packet header framing (next to the
-  /// bucket-boundary offset and generation stamp), which is how clients
-  /// learn it from a single probe — uncoded programs carry group() == 0 and
-  /// stay byte-identical on air.
-  void SetCodingSchedule(uint32_t group, uint32_t parity, size_t num_data) {
-    assert(!finalized_);
-    assert(group > 0 && parity > 0);
-    assert(num_disks_ == 1);  // coding and multi-disk layouts are exclusive
-    coding_group_ = group;
-    coding_parity_ = parity;
-    num_data_ = num_data;
-  }
-
-  /// Declares this program a multi-frequency (Broadcast-Disks) cycle
-  /// (MakeMultiDiskProgram is the only caller): the cycle's buckets are
-  /// repeated airings of `airings.size()` underlying data slots —
-  /// `slot_of_phys[p]` names the data slot physical bucket p carries and
-  /// `airings[s]` lists every physical slot airing data slot s (hot slots
-  /// appear 2-4x per cycle). Clients keep addressing data slots; the
-  /// session resolves each read to the nearest upcoming airing. Must be
-  /// called after every AddBucket and before Finalize.
-  void SetDiskSchedule(uint32_t num_disks, std::vector<uint32_t> slot_of_phys,
-                       std::vector<std::vector<uint32_t>> airings) {
-    assert(!finalized_);
-    assert(coding_group_ == 0);  // coding and multi-disk layouts are exclusive
-    assert(num_disks > 1);
-    assert(slot_of_phys.size() == buckets_.size());
-    num_disks_ = num_disks;
-    disk_slot_of_phys_ = std::move(slot_of_phys);
-    disk_airings_ = std::move(airings);
-    num_data_ = disk_airings_.size();
-  }
+  /// Computes packet offsets and, for a re-laid-out program, the air
+  /// schedule (parity groups close at the end of each run of parity
+  /// buckets); no further AddBucket calls allowed.
+  void Finalize();
 
   bool finalized() const { return finalized_; }
   size_t packet_capacity() const { return packet_capacity_; }
@@ -128,28 +106,38 @@ class BroadcastProgram {
   uint64_t cycle_packets() const { return cycle_packets_; }
   uint64_t cycle_bytes() const { return cycle_packets_ * packet_capacity_; }
 
-  /// True when the cycle interleaves parity buckets (see SetCodingSchedule).
-  bool coded() const { return coding_group_ > 0; }
-  uint32_t coding_group() const { return coding_group_; }
-  uint32_t coding_parity() const { return coding_parity_; }
-  /// True when the cycle repeats hot buckets (see SetDiskSchedule).
-  bool multi_disk() const { return num_disks_ > 1; }
-  uint32_t num_disks() const { return num_disks_; }
-  /// Data slot aired by physical slot \p phys (identity unless multi-disk).
-  size_t DataSlotOf(size_t phys) const {
-    return multi_disk() ? disk_slot_of_phys_[phys] : phys;
-  }
-  /// Every physical slot airing data slot \p data_slot (multi-disk only;
-  /// never empty — every data slot airs at least once per cycle).
-  const std::vector<uint32_t>& AiringsOf(size_t data_slot) const {
-    assert(multi_disk() && data_slot < disk_airings_.size());
-    return disk_airings_[data_slot];
-  }
-  /// Number of DATA buckets — the slot space query clients address; equals
-  /// num_buckets() for plain (uncoded, single-disk) programs.
+  /// True when physical slot i airs data slot i (no transform applied).
+  bool flat() const { return layout_ == Layout{}; }
+  /// True when the cycle interleaves parity buckets.
+  bool coded() const { return layout_.coding_group > 0; }
+  uint32_t coding_group() const { return layout_.coding_group; }
+  uint32_t coding_parity() const { return layout_.coding_parity; }
+  /// True when the cycle repeats hot buckets.
+  bool multi_disk() const { return layout_.num_disks > 1; }
+  uint32_t num_disks() const { return layout_.num_disks; }
+
+  /// Number of DATA slots — the slot space query clients address; equals
+  /// num_buckets() for flat programs.
   size_t num_data_buckets() const {
-    return (coded() || multi_disk()) ? num_data_ : buckets_.size();
+    return flat() ? buckets_.size() : num_data_;
   }
+  /// Data slot aired by physical slot \p phys (a non-parity bucket).
+  size_t DataSlotOf(size_t phys) const {
+    return flat() ? phys : air_[phys].data_slot;
+  }
+  /// Physical slots airing data slot \p data_slot, in start order; never
+  /// empty. Re-laid-out programs only — a flat slot airs at its own index.
+  std::span<const uint32_t> AiringsOf(size_t data_slot) const {
+    assert(!flat() && data_slot < num_data_);
+    return {airings_.data() + airing_begin_[data_slot],
+            airing_begin_[data_slot + 1] - airing_begin_[data_slot]};
+  }
+  /// Parity group of physical slot \p phys (coded programs only).
+  size_t GroupOf(size_t phys) const { return air_[phys].group; }
+  /// First physical slot of parity group \p group; GroupStart(group + 1)
+  /// ends it. A group is its member buckets followed by coding_parity()
+  /// parity buckets (coded programs only).
+  size_t GroupStart(size_t group) const { return group_start_[group]; }
 
   const Bucket& bucket(size_t slot) const {
     assert(slot < buckets_.size());
@@ -163,16 +151,27 @@ class BroadcastProgram {
   /// packet (wraps to slot 0 past the end of the cycle).
   size_t SlotStartingAtOrAfter(uint64_t cycle_packet) const;
 
+  /// Structural equality: buckets, layout and air schedule.
+  bool operator==(const BroadcastProgram&) const = default;
+
  private:
+  struct AirSlot {
+    uint32_t data_slot;  // kNoSlot for parity buckets
+    uint32_t group;      // parity group (0 when uncoded)
+
+    bool operator==(const AirSlot&) const = default;
+  };
+
   size_t packet_capacity_;
+  Layout layout_;
   std::vector<Bucket> buckets_;
   uint64_t cycle_packets_ = 0;
-  uint32_t coding_group_ = 0;   // data buckets per parity group (0 = uncoded)
-  uint32_t coding_parity_ = 0;  // parity buckets per group
-  size_t num_data_ = 0;         // data bucket count when coded or multi-disk
-  uint32_t num_disks_ = 1;      // frequency tiers (1 = flat cycle)
-  std::vector<uint32_t> disk_slot_of_phys_;          // phys -> data slot
-  std::vector<std::vector<uint32_t>> disk_airings_;  // data slot -> phys
+  // Air schedule (empty when flat).
+  size_t num_data_ = 0;
+  std::vector<AirSlot> air_;              // phys slot -> data slot, group
+  std::vector<uint32_t> airing_begin_;    // data slot -> first airings_ index
+  std::vector<uint32_t> airings_;         // phys slots grouped by data slot
+  std::vector<uint32_t> group_start_;     // group -> first phys slot (+ end)
   uint64_t slot_stride_ = 1;        // packets per stride-table entry
   std::vector<size_t> stride_slot_; // coarse packet -> slot table
   bool finalized_ = false;

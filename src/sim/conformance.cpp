@@ -679,7 +679,8 @@ ConformanceCase MakeConformanceCase(uint64_t seed) {
     c.code_parity = 1 + static_cast<uint32_t>((seed / 9) % 2);
   }
   // Multi-disk (Broadcast-Disks) cycles on a slice of the UNCODED seed
-  // blocks — the two server-side layouts are mutually exclusive. 2 and 3
+  // blocks (coded multi-disk cycles come from pinning both layout axes in
+  // conformance_fuzz, so seed bands keep the cases they always ran). 2 and 3
   // frequency tiers both appear, under moderate and strong Zipf skew; the
   // case's query/trajectory streams then draw from the matching skewed
   // distribution (CasePopularity), so hot buckets are actually queried.

@@ -108,7 +108,8 @@ struct ConformanceCase {
   /// by a Zipf grid at disk_skew) and the query/trajectory streams draw
   /// from the matching skewed distribution. The brute-force oracles are
   /// layout-independent, so exactness across repetitions is checked for
-  /// free. 1 = flat cycle. Mutually exclusive with code_group > 0.
+  /// free. 1 = flat cycle. With code_group > 0 as well, parity groups cut
+  /// the multi-disk stream (the disk layout applies first).
   uint32_t num_disks = 1;
   double disk_skew = 0.0;
 };

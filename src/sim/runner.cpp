@@ -96,7 +96,7 @@ ShardSums RunShard(const air::AirIndexHandle& index,
                    transport::SimTransport& channel, const Workload& wl,
                    const RunOptions& options, size_t begin, size_t end) {
   // \p channel views what is actually on air: index.program() itself, or
-  // its coded re-emission when RunOptions::coding is enabled. Family
+  // its re-layout under RunOptions::disks / RunOptions::coding. Family
   // clients keep addressing data slots either way. SimTransport is
   // shareable, so every session on every worker drives the same instance.
   //
@@ -229,15 +229,10 @@ AvgMetrics RunWorkload(const air::AirIndexHandle& index,
   // the (immutable) re-emitted program. Disabled coding AND disks take the
   // index's own program by reference — no copy, byte-identical to the
   // plain engine.
-  assert(!(options.coding.enabled() && options.disks.enabled()));
-  std::optional<broadcast::BroadcastProgram> coded;
-  if (options.coding.enabled()) {
-    coded.emplace(MakeCodedProgram(index.program(), options.coding));
-  } else if (options.disks.enabled()) {
-    coded.emplace(air::MakeSkewedProgram(index, options.disks));
-  }
+  const std::optional<broadcast::BroadcastProgram> relaid =
+      air::OnAirProgram(index, options.disks, options.coding);
   const broadcast::BroadcastProgram& on_air =
-      coded.has_value() ? *coded : index.program();
+      relaid.has_value() ? *relaid : index.program();
   // The simulator's channel substrate: a stateless view every session in
   // every shard shares (the same Transport seam a live StreamTransport
   // plugs into).
@@ -299,23 +294,14 @@ AvgMetrics GenerationalRun(const GenerationalIndex& index,
 
   // Each generation is re-laid-out independently: parity groups (and disk
   // schedules) die with their generation, and a republication re-encodes
-  // the new cycle. The vector is sized up front — GenerationSchedule holds
-  // raw pointers, so the re-emitted programs must never relocate after
-  // Append.
-  assert(!(options.coding.enabled() && options.disks.enabled()));
-  const bool relayout = options.coding.enabled() || options.disks.enabled();
-  std::vector<broadcast::BroadcastProgram> coded;
-  if (relayout) {
-    coded.reserve(index.generations.size());
-    for (const air::AirIndexHandle* handle : index.generations) {
-      coded.push_back(options.coding.enabled()
-                          ? MakeCodedProgram(handle->program(), options.coding)
-                          : air::MakeSkewedProgram(*handle, options.disks));
-    }
+  // the new cycle.
+  std::vector<std::optional<broadcast::BroadcastProgram>> relaid;
+  for (const air::AirIndexHandle* handle : index.generations) {
+    relaid.push_back(air::OnAirProgram(*handle, options.disks, options.coding));
   }
   broadcast::GenerationSchedule schedule;
   for (size_t g = 0; g < index.generations.size(); ++g) {
-    schedule.Append(relayout ? &coded[g] : &index.generations[g]->program(),
+    schedule.Append(relaid[g] ? &*relaid[g] : &index.generations[g]->program(),
                     index.cycles[g]);
   }
   transport::SimTransport channel(schedule);

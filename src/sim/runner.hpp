@@ -99,7 +99,8 @@ struct RunOptions {
   /// frequency tiers, hot tiers airing 2-4x per cycle, every read resolved
   /// to the nearest upcoming repetition. Disabled runs take the index's own
   /// program by reference — byte-identical to a build without the layer.
-  /// Mutually exclusive with coding.
+  /// Combines with coding: the disk layout applies first and the parity
+  /// interleave groups its physical stream (air::OnAirProgram).
   broadcast::DiskConfig disks;
   /// Event-driven execution order (sim/scheduler.hpp): each query is a
   /// one-shot client whose single wake is its tune-in packet, and every

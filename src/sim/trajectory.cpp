@@ -380,23 +380,15 @@ TrajectoryMetrics RunTrajectoriesImpl(
   if (num_clients == 0 || wl.num_steps() == 0) return avg;
 
   // Same per-generation re-layout as sim::GenerationalRun: each
-  // generation's cycle is encoded (or disk-scheduled) independently and
-  // its parity groups / disk schedule die with it. The vector is sized up
-  // front — the schedule keeps raw pointers.
-  assert(!(options.coding.enabled() && options.disks.enabled()));
-  const bool relayout = options.coding.enabled() || options.disks.enabled();
-  std::vector<broadcast::BroadcastProgram> coded;
-  if (relayout) {
-    coded.reserve(gens.size());
-    for (const air::AirIndexHandle* handle : gens) {
-      coded.push_back(options.coding.enabled()
-                          ? MakeCodedProgram(handle->program(), options.coding)
-                          : air::MakeSkewedProgram(*handle, options.disks));
-    }
+  // generation's cycle is re-laid-out independently and its parity groups /
+  // disk schedule die with it.
+  std::vector<std::optional<broadcast::BroadcastProgram>> relaid;
+  for (const air::AirIndexHandle* handle : gens) {
+    relaid.push_back(air::OnAirProgram(*handle, options.disks, options.coding));
   }
   broadcast::GenerationSchedule schedule;
   for (size_t g = 0; g < gens.size(); ++g) {
-    schedule.Append(relayout ? &coded[g] : &gens[g]->program(), cycles[g]);
+    schedule.Append(relaid[g] ? &*relaid[g] : &gens[g]->program(), cycles[g]);
   }
 
   size_t workers =

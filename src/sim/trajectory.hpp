@@ -192,8 +192,7 @@ struct TrajectoryOptions {
   broadcast::CodingConfig coding;
   /// Server-side multi-disk layout of the on-air cycle(s); see
   /// RunOptions::disks. Warm and cold clients share the multi-disk channel,
-  /// so warm/cold parity holds across repetitions too. Mutually exclusive
-  /// with coding.
+  /// so warm/cold parity holds across repetitions too.
   broadcast::DiskConfig disks;
   /// Simulation core; results are bit-identical either way.
   TrajectoryEngine engine = TrajectoryEngine::kLoop;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "broadcast/coding.hpp"
+#include "air/disk_layout.hpp"
 #include "common/sizes.hpp"
 #include "wire/codecs.hpp"
 
@@ -110,19 +110,17 @@ LiveSource::LiveSource(const wire::HelloPayload& hello)
   }
 
   // Each generation is encoded independently (parity groups die with their
-  // generation). Sized up front: the schedule holds raw pointers.
+  // generation).
   const broadcast::CodingConfig coding{hello.coding_group,
                                        hello.coding_parity};
-  if (coding.enabled()) {
-    coded_.reserve(handles_.size());
-    for (const air::AirIndexHandle* h : handles_) {
-      coded_.push_back(broadcast::MakeCodedProgram(h->program(), coding));
-    }
+  for (const air::AirIndexHandle* h : handles_) {
+    relaid_.push_back(air::OnAirProgram(*h, broadcast::DiskConfig{}, coding));
   }
+  // A zero-object build airs nothing: its schedule stays empty, and
+  // airable() tells the daemon and clients to refuse it.
+  if (!airable()) return;
   for (size_t g = 0; g < handles_.size(); ++g) {
-    air_programs_.push_back(coding.enabled() ? &coded_[g]
-                                             : &handles_[g]->program());
-    schedule_.Append(air_programs_[g], hello.gen_cycles);
+    schedule_.Append(&program(g), hello.gen_cycles);
   }
 }
 
@@ -190,28 +188,18 @@ std::vector<uint8_t> LiveSource::BucketContent(size_t g,
   if (bucket.kind != broadcast::BucketKind::kParity) {
     return DataContent(g, bucket, 0);
   }
-  // Parity plane: payload is the group index; the plane number is this
-  // bucket's rank within the group's consecutive parity run.
-  size_t plane = 0;
-  while (phys_slot >= plane + 1 &&
-         p.bucket(phys_slot - plane - 1).kind ==
-             broadcast::BucketKind::kParity) {
-    ++plane;
-  }
-  const size_t group = bucket.payload;
-  const size_t first_data = group * p.coding_group();
-  const size_t last_data =
-      std::min<size_t>(first_data + p.coding_group(), p.num_data_buckets());
-  // Data slot -> physical slot: p parity buckets per completed group.
-  const auto phys_of = [&](size_t data_slot) {
-    return data_slot + (data_slot / p.coding_group()) * p.coding_parity();
-  };
+  // Parity plane: the group's data members come first, then its parity
+  // run; the plane number is this bucket's rank within that run. Members
+  // are physical airings, so a coded multi-disk group codes repetitions.
+  const size_t group = p.GroupOf(phys_slot);
+  const size_t first = p.GroupStart(group);
+  const size_t data = p.GroupStart(group + 1) - first - p.coding_parity();
+  const size_t plane = phys_slot - first - data;
   std::vector<uint8_t> out(bucket.size_bytes, 0);
-  for (size_t d = first_data; d < last_data; ++d) {
+  for (size_t m = 0; m < data; ++m) {
     const std::vector<uint8_t> member =
-        DataContent(g, p.bucket(phys_of(d)), out.size());
-    const uint8_t coeff =
-        GfPow(2, static_cast<uint32_t>(plane * (d - first_data)));
+        DataContent(g, p.bucket(first + m), out.size());
+    const uint8_t coeff = GfPow(2, static_cast<uint32_t>(plane * m));
     for (size_t i = 0; i < out.size(); ++i) {
       out[i] ^= GfMul(coeff, member[i]);
     }

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "air/air_index.hpp"
@@ -56,7 +57,7 @@ class LiveSource {
   /// The ON-AIR program of generation \p g (coded when the hello enables
   /// coding, the handle's data program otherwise).
   const broadcast::BroadcastProgram& program(size_t g) const {
-    return *air_programs_[g];
+    return relaid_[g] ? *relaid_[g] : handles_[g]->program();
   }
   /// The schedule over the on-air programs; what transports expose.
   const broadcast::GenerationSchedule& schedule() const { return schedule_; }
@@ -99,8 +100,7 @@ class LiveSource {
   std::vector<std::unique_ptr<air::ExpHandle>> exp_handles_;
 
   std::vector<const air::AirIndexHandle*> handles_;
-  std::vector<broadcast::BroadcastProgram> coded_;  // when coding enabled
-  std::vector<const broadcast::BroadcastProgram*> air_programs_;
+  std::vector<std::optional<broadcast::BroadcastProgram>> relaid_;
   broadcast::GenerationSchedule schedule_;
 };
 

@@ -4,32 +4,6 @@
 
 namespace dsi::transport {
 
-namespace {
-
-/// Structural program equality: the daemon's announced timetable must be
-/// exactly the local rebuild.
-bool SamePrograms(const broadcast::BroadcastProgram& a,
-                  const broadcast::BroadcastProgram& b) {
-  if (a.packet_capacity() != b.packet_capacity() ||
-      a.num_buckets() != b.num_buckets() ||
-      a.coding_group() != b.coding_group() ||
-      a.coding_parity() != b.coding_parity() ||
-      a.num_data_buckets() != b.num_data_buckets()) {
-    return false;
-  }
-  for (size_t s = 0; s < a.num_buckets(); ++s) {
-    const broadcast::Bucket& x = a.bucket(s);
-    const broadcast::Bucket& y = b.bucket(s);
-    if (x.kind != y.kind || x.payload != y.payload ||
-        x.size_bytes != y.size_bytes) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 std::unique_ptr<StreamTransport> StreamTransport::Connect(
     const std::string& endpoint_spec, const Options& options,
     std::string* error) {
@@ -69,7 +43,7 @@ StreamTransport::StreamTransport(SocketFd fd, const Options& options)
   }
 
   // The full timetable follows; verify each announcement against the local
-  // rebuild.
+  // rebuild (structural equality, air schedule included).
   for (size_t g = 0; g < source_->num_generations(); ++g) {
     RecvFrame(&type, &payload);
     if (type != wire::FrameType::kProgram) {
@@ -85,7 +59,7 @@ StreamTransport::StreamTransport(SocketFd fd, const Options& options)
     if (meta.generation != g ||
         meta.start_packet != schedule.start_packet(g) ||
         meta.end_packet != schedule.end_packet(g) ||
-        !SamePrograms(*announced, source_->program(g))) {
+        *announced != source_->program(g)) {
       throw TransportError(
           "daemon drift: announced program of generation " +
           std::to_string(g) + " does not match the hello-derived rebuild");

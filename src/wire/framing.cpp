@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "broadcast/coding.hpp"
 #include "wire/buffer.hpp"
 
 namespace dsi::wire {
@@ -92,16 +93,26 @@ bool DecodeHello(const std::vector<uint8_t>& bytes, HelloPayload* hello) {
   hello->gen_cycles = r.ReadUint(8);
   hello->now_packet = r.ReadUint(8);
   if (!r.ok() || r.remaining() != 0) return false;
-  // Field sanity: a hello that decodes but cannot build a broadcast is
-  // rejected here, not deep inside the index constructors.
-  if (hello->packet_capacity == 0) return false;
-  if (hello->hilbert_order == 0 || hello->hilbert_order > 16) return false;
-  if (hello->num_segments == 0) return false;
-  if (hello->num_generations == 0) return false;
-  if (hello->gen_cycles == 0) return false;
-  if ((hello->coding_group == 0) != (hello->coding_parity == 0)) return false;
-  if (hello->coding_group + hello->coding_parity > 64) return false;
-  return true;
+  // A hello that decodes but cannot build a broadcast is rejected here, not
+  // deep inside the index constructors.
+  return RecipeError(*hello) == nullptr;
+}
+
+const char* RecipeError(const HelloPayload& hello) {
+  if (hello.packet_capacity == 0) return "packet capacity must be positive";
+  if (hello.hilbert_order == 0 || hello.hilbert_order > 16) {
+    return "Hilbert order must be in 1..16";
+  }
+  if (hello.num_segments == 0) return "segment count must be positive";
+  if (hello.num_generations == 0) return "generation count must be positive";
+  if (hello.gen_cycles == 0) return "cycles per generation must be positive";
+  if ((hello.coding_group == 0) != (hello.coding_parity == 0)) {
+    return "coding group and parity must both be set or both be zero";
+  }
+  if (uint64_t{hello.coding_group} + hello.coding_parity > 64) {
+    return "coding group + parity must not exceed 64";
+  }
+  return nullptr;
 }
 
 // --- program announcement ---------------------------------------------------
@@ -138,33 +149,34 @@ bool DecodeProgramAnnouncement(
   const uint64_t capacity = r.ReadUint(4);
   const uint64_t group = r.ReadUint(4);
   const uint64_t parity = r.ReadUint(4);
-  const uint64_t num_data = r.ReadUint(8);
+  r.ReadUint(8);  // data-slot count: the re-encode check below covers it
   const uint64_t num_buckets = r.ReadUint(8);
   if (!r.ok()) return false;
   if (capacity == 0) return false;
-  if ((group == 0) != (parity == 0)) return false;
   if (group + parity > 64) return false;
   if (num_buckets > (uint64_t{1} << 24)) return false;  // corrupt count
-  if (num_data > num_buckets) return false;
   if (meta->end_packet <= meta->start_packet) return false;
   // Exact length check up front: 9 bytes per bucket, nothing trailing.
   if (r.remaining() != num_buckets * 9) return false;
-  broadcast::BroadcastProgram decoded(static_cast<size_t>(capacity));
-  if (group > 0) {
-    decoded.SetCodingSchedule(static_cast<uint32_t>(group),
-                              static_cast<uint32_t>(parity),
-                              static_cast<size_t>(num_data));
-  }
+  // The announcement lists the on-air buckets; the layout comes from
+  // re-applying the coding transform to its data buckets, and the result
+  // must re-encode to exactly the announced bytes.
+  broadcast::BroadcastProgram data(static_cast<size_t>(capacity));
   for (uint64_t s = 0; s < num_buckets; ++s) {
     const uint64_t kind = r.ReadUint(1);
     const uint64_t payload = r.ReadUint(4);
     const uint64_t size_bytes = r.ReadUint(4);
     if (!r.ok() || !ValidKind(kind)) return false;
-    decoded.AddBucket(static_cast<broadcast::BucketKind>(kind),
-                      static_cast<uint32_t>(payload),
-                      static_cast<uint32_t>(size_bytes));
+    const auto k = static_cast<broadcast::BucketKind>(kind);
+    if (group > 0 && k == broadcast::BucketKind::kParity) continue;
+    data.AddBucket(k, static_cast<uint32_t>(payload),
+                   static_cast<uint32_t>(size_bytes));
   }
-  decoded.Finalize();
+  data.Finalize();
+  broadcast::BroadcastProgram decoded = broadcast::MakeCodedProgram(
+      data, broadcast::CodingConfig{static_cast<uint32_t>(group),
+                                    static_cast<uint32_t>(parity)});
+  if (EncodeProgramAnnouncement(*meta, decoded) != bytes) return false;
   program->emplace(std::move(decoded));
   return true;
 }

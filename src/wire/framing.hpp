@@ -113,7 +113,13 @@ struct HelloPayload {
 };
 
 std::vector<uint8_t> EncodeHello(const HelloPayload& hello);
+/// Decodes a hello; false when malformed or when RecipeError rejects it.
 bool DecodeHello(const std::vector<uint8_t>& bytes, HelloPayload* hello);
+
+/// Why \p hello cannot build a broadcast, or nullptr when it can. The one
+/// recipe check: DecodeHello rejects what fails it and the daemon refuses
+/// to serve it, so no daemon airs a recipe its clients reject.
+const char* RecipeError(const HelloPayload& hello);
 
 // --- program announcement ---------------------------------------------------
 
@@ -129,7 +135,8 @@ std::vector<uint8_t> EncodeProgramAnnouncement(
     const ProgramMeta& meta, const broadcast::BroadcastProgram& program);
 
 /// Rebuilds a finalized program from an announcement. Returns false on any
-/// malformed field; \p program is emplaced only on success.
+/// malformed field or on a bucket list the announced coding does not
+/// produce; \p program is emplaced only on success.
 bool DecodeProgramAnnouncement(const std::vector<uint8_t>& bytes,
                                ProgramMeta* meta,
                                std::optional<broadcast::BroadcastProgram>* program);

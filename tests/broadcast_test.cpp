@@ -5,7 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "air/disk_layout.hpp"
+#include "air/dsi_handle.hpp"
+#include "air/exp_handle.hpp"
+#include "air/hci_handle.hpp"
+#include "air/rtree_handle.hpp"
 #include "common/rng.hpp"
+#include "datasets/datasets.hpp"
+#include "hilbert/space_mapper.hpp"
 
 namespace dsi::broadcast {
 namespace {
@@ -492,14 +504,9 @@ TEST(MultiDiskProgramTest, TwoDiskChunkedShape) {
     EXPECT_EQ(p.bucket(i).payload, phys_payload[i]) << "phys " << i;
     EXPECT_EQ(p.DataSlotOf(i), phys_payload[i]) << "phys " << i;
   }
-  // Hot slots air twice per major cycle, cold ones once; every airing list
-  // round-trips through DataSlotOf.
+  // Hot slots air twice per major cycle, cold ones once.
   for (uint32_t slot = 0; slot < 7; ++slot) {
-    const auto& airings = p.AiringsOf(slot);
-    EXPECT_EQ(airings.size(), (slot == 2 || slot == 5) ? 2u : 1u);
-    for (const uint32_t phys : airings) {
-      EXPECT_EQ(p.DataSlotOf(phys), slot);
-    }
+    EXPECT_EQ(p.AiringsOf(slot).size(), (slot == 2 || slot == 5) ? 2u : 1u);
   }
 }
 
@@ -541,6 +548,146 @@ TEST(ClientSessionTest, MultiDiskReadsResolveToNearestAiring) {
   EXPECT_EQ(s.PacketsUntil(2), 4u);
   ASSERT_TRUE(s.ReadBucket(2));
   EXPECT_EQ(s.now_packets(), 10u);
+}
+
+// ---------------------------------------------------------------------------
+// Coded multi-disk cycles: parity groups over the disk stream
+// ---------------------------------------------------------------------------
+
+TEST(CodedDiskProgramTest, ParityGroupsCutThePhysicalDiskStream) {
+  // Coding the two-disk cycle above in groups of 2: the disk stream
+  // [2 5 0 1 2 5 3 4 6] becomes [2 5 P][0 1 P][2 5 P][3 4 P][6 P]. Both
+  // repetitions of a hot slot keep their data slot; each airing belongs to
+  // its own group.
+  std::vector<double> weights(7, 1.0);
+  weights[2] = weights[5] = 10.0;
+  const BroadcastProgram p = MakeCodedProgram(
+      MakeMultiDiskProgram(MakeSevenSlots(), 2, weights), CodingConfig{2, 1});
+  EXPECT_TRUE(p.coded());
+  EXPECT_TRUE(p.multi_disk());
+  EXPECT_EQ(p.num_disks(), 2u);
+  EXPECT_EQ(p.num_data_buckets(), 7u);
+  ASSERT_EQ(p.num_buckets(), 14u);
+  const uint32_t data_of[14] = {2, 5, BroadcastProgram::kNoSlot,
+                                0, 1, BroadcastProgram::kNoSlot,
+                                2, 5, BroadcastProgram::kNoSlot,
+                                3, 4, BroadcastProgram::kNoSlot,
+                                6, BroadcastProgram::kNoSlot};
+  for (size_t i = 0; i < 14; ++i) {
+    const bool parity = data_of[i] == BroadcastProgram::kNoSlot;
+    EXPECT_EQ(p.bucket(i).kind == BucketKind::kParity, parity) << "phys " << i;
+    if (!parity) EXPECT_EQ(p.DataSlotOf(i), data_of[i]) << "phys " << i;
+    EXPECT_EQ(p.GroupOf(i), i / 3) << "phys " << i;
+  }
+  for (size_t g = 0; g <= 4; ++g) EXPECT_EQ(p.GroupStart(g), g * 3);
+  EXPECT_EQ(p.GroupStart(5), 14u);  // short wrap-around group [6 P]
+  const std::vector<uint32_t> hot(p.AiringsOf(2).begin(),
+                                  p.AiringsOf(2).end());
+  EXPECT_EQ(hot, (std::vector<uint32_t>{0, 6}));
+}
+
+TEST(ClientSessionTest, CodedDiskSingleLossRepairsWithoutFailing) {
+  // The coded-broadcast repair guarantee carries over to a coded
+  // multi-disk cycle: a reader following the air from a group boundary
+  // always holds or can still hear d of a group's d+p physical airings, so
+  // one on-air loss is reconstructed whichever repetition it hit.
+  std::vector<double> weights(7, 1.0);
+  weights[2] = weights[5] = 10.0;
+  const BroadcastProgram p = MakeCodedProgram(
+      MakeMultiDiskProgram(MakeSevenSlots(), 2, weights), CodingConfig{2, 1});
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    // Tune in on a cycle's last packet: the probe parks on physical slot 0.
+    ClientSession s(p, seed * p.cycle_packets() - 1,
+                    ErrorModel{1.0, ErrorMode::kSingleEvent},
+                    common::Rng(seed));
+    s.InitialProbe();
+    int failures = 0;
+    for (int i = 0; i < 100; ++i) {
+      // The data slot of the next data bucket on air.
+      size_t phys =
+          p.SlotStartingAtOrAfter(s.now_packets() % p.cycle_packets());
+      while (p.bucket(phys).kind == BucketKind::kParity) {
+        phys = (phys + 1) % p.num_buckets();
+      }
+      if (!s.ReadBucket(p.DataSlotOf(phys))) ++failures;
+    }
+    EXPECT_EQ(failures, 0) << "seed " << seed;
+    EXPECT_EQ(s.metrics().repaired, 1u) << "seed " << seed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One air schedule: nearest-airing lookup against brute force
+// ---------------------------------------------------------------------------
+
+/// Checks the session's view of \p p where it stands: every non-parity
+/// physical bucket carries exactly the flat bucket of the data slot it
+/// claims, and PacketsUntil(s) is the minimum wait over every physical
+/// slot airing data slot s.
+void ExpectNearestAirings(const BroadcastProgram& flat,
+                          const BroadcastProgram& p, const ClientSession& s,
+                          const std::string& what) {
+  const uint64_t cycle = p.cycle_packets();
+  const uint64_t pos = s.now_packets() % cycle;
+  std::vector<uint64_t> best(p.num_data_buckets(), UINT64_MAX);
+  for (size_t phys = 0; phys < p.num_buckets(); ++phys) {
+    const Bucket& b = p.bucket(phys);
+    if (b.kind == BucketKind::kParity) continue;
+    const size_t slot = p.DataSlotOf(phys);
+    ASSERT_LT(slot, best.size()) << what << " phys " << phys;
+    const Bucket& want = flat.bucket(slot);
+    ASSERT_TRUE(b.kind == want.kind && b.payload == want.payload &&
+                b.size_bytes == want.size_bytes)
+        << what << " phys " << phys << " does not air data slot " << slot;
+    best[slot] = std::min(best[slot], (b.start_packet + cycle - pos) % cycle);
+  }
+  for (size_t slot = 0; slot < best.size(); ++slot) {
+    ASSERT_NE(best[slot], UINT64_MAX) << what << " slot " << slot;
+    ASSERT_EQ(s.PacketsUntil(slot), best[slot])
+        << what << " slot " << slot << " at cycle packet " << pos;
+  }
+}
+
+TEST(AirScheduleTest, PacketsUntilIsTheNearestAiringForEveryLayout) {
+  // Every family's program, flat and under each layout the engine airs.
+  // The session is tuned in at every packet offset of one cycle and
+  // checked where the probe parks it (every data-bucket boundary) and after
+  // one read (every boundary a read ends on — parity starts included).
+  const auto objects =
+      datasets::MakeUniform(24, datasets::UnitUniverse(), 19);
+  const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), 6);
+  const core::DsiIndex dsi(objects, mapper, 64, core::DsiConfig{});
+  const rtree::RtreeIndex rtree(objects, 64);
+  const hci::HciIndex hci(objects, mapper, 64);
+  const air::DsiHandle dsi_air(dsi);
+  const air::RtreeHandle rtree_air(rtree);
+  const air::HciHandle hci_air(hci);
+  const air::ExpHandle exp_air(objects, mapper, 64);
+  const DiskConfig disks{3, 1.2, 8, 5};
+  const CodingConfig coding{2, 1};
+  for (const air::AirIndexHandle* h :
+       {static_cast<const air::AirIndexHandle*>(&dsi_air),
+        static_cast<const air::AirIndexHandle*>(&rtree_air),
+        static_cast<const air::AirIndexHandle*>(&hci_air),
+        static_cast<const air::AirIndexHandle*>(&exp_air)}) {
+    const BroadcastProgram& flat = h->program();
+    const std::pair<const char*, BroadcastProgram> layouts[] = {
+        {"flat", flat},
+        {"coded", *air::OnAirProgram(*h, DiskConfig{}, coding)},
+        {"3-disk", *air::OnAirProgram(*h, disks, CodingConfig{})},
+        {"coded 3-disk", *air::OnAirProgram(*h, disks, coding)}};
+    for (const auto& [name, p] : layouts) {
+      const std::string what = std::string(h->family()) + " " + name;
+      EXPECT_EQ(p.num_data_buckets(), flat.num_buckets()) << what;
+      for (uint64_t tune_in = 0; tune_in < p.cycle_packets(); ++tune_in) {
+        ClientSession s(p, tune_in, ErrorModel{}, common::Rng(1));
+        s.InitialProbe();
+        ExpectNearestAirings(flat, p, s, what);
+        ASSERT_TRUE(s.ReadBucket(s.current_slot()));
+        ExpectNearestAirings(flat, p, s, what);
+      }
+    }
+  }
 }
 
 }  // namespace

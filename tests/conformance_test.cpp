@@ -386,5 +386,28 @@ TEST(ConformanceRegression, CodedRedundancyBoundsLapsAtThetaHalf) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Both server layouts at once: (2, 2) parity groups cut from a 3-disk
+// skewed stream, driven through every engine entry point the harness runs
+// (one-shot, generational, warm/cold trajectories on both simulation
+// cores). Result sets match the oracle and, at theta = 0.5 burst loss,
+// every query completes.
+// ---------------------------------------------------------------------------
+TEST(ConformanceRegression, CodedMultiDiskCyclesStayExact) {
+  for (uint64_t seed = 12000; seed < 12008; ++seed) {
+    sim::ConformanceCase c = sim::MakeConformanceCase(seed);
+    c.num_disks = 3;
+    c.disk_skew = 1.2;
+    c.code_group = 2;
+    c.code_parity = 2;
+    c.theta = 0.5;
+    c.error_mode = broadcast::ErrorMode::kBurstLoss;
+    const auto r = sim::RunConformanceCase(c);
+    EXPECT_TRUE(r.divergences.empty()) << Describe(r, c);
+    EXPECT_EQ(r.incomplete, 0u) << Describe(r, c);
+    EXPECT_GT(r.queries_checked, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace dsi

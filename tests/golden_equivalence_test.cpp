@@ -292,6 +292,66 @@ const DiskGoldenRow kGoldenDisks[] = {
     {"expindex", 3, 1.2, "window", 0.5, 14168506.666666666, 65098.666666666664, 0},
 };
 
+/// One golden row with both server layouts: the same workloads and seed as
+/// kGolden on the 3-disk skewed cycle (grid 8, region popularity seed 5)
+/// with (group, parity) parity groups cut from its physical stream. theta =
+/// 0 pins the composed layout; theta = 0.5 pins repair over disk airings.
+/// Captured by the coded multi-disk section of tools/golden_gen.
+struct CodedDiskGoldenRow {
+  const char* family;
+  uint32_t disks;
+  double skew;
+  uint32_t group;
+  uint32_t parity;
+  const char* kind;
+  double theta;
+  double latency_bytes;
+  double tuning_bytes;
+  size_t incomplete;
+  size_t repaired;
+};
+
+const CodedDiskGoldenRow kGoldenCodedDisks[] = {
+    {"dsi", 3, 1.2, 2, 1, "window", 0, 535189.33333333337, 10549.333333333334, 0, 0},
+    {"dsi", 3, 1.2, 2, 1, "window", 0.5, 4551797.333333333, 30464, 0, 59},
+    {"rtree", 3, 1.2, 2, 1, "window", 0, 817850.66666666663, 7520, 0, 0},
+    {"rtree", 3, 1.2, 2, 1, "window", 0.5, 5608917.333333333, 16261.333333333334, 0, 47},
+    {"hci", 3, 1.2, 2, 1, "window", 0, 1231674.6666666667, 7194.666666666667, 0, 0},
+    {"hci", 3, 1.2, 2, 1, "window", 0.5, 8883472, 19904, 0, 50},
+    {"expindex", 3, 1.2, 2, 1, "window", 0, 4833882.666666667, 21482.666666666668, 0, 0},
+    {"expindex", 3, 1.2, 2, 1, "window", 0.5, 21155877.333333332, 129216, 0, 170},
+};
+
+/// One order-6 handle per family: what the server-layout sections of
+/// tools/golden_gen run on.
+struct LayoutHandles {
+  explicit LayoutHandles(const std::vector<datasets::SpatialObject>& objects)
+      : mapper(datasets::UnitUniverse(), 6),
+        dsi(objects, mapper, 64, core::DsiConfig{}),
+        hci(objects, mapper, 64),
+        rtree(objects, 64),
+        dsi_handle(dsi),
+        hci_handle(hci),
+        rtree_handle(rtree),
+        exp_handle(objects, mapper, 64) {}
+
+  const air::AirIndexHandle& For(const char* family) const {
+    if (std::strcmp(family, "dsi") == 0) return dsi_handle;
+    if (std::strcmp(family, "rtree") == 0) return rtree_handle;
+    if (std::strcmp(family, "hci") == 0) return hci_handle;
+    return exp_handle;
+  }
+
+  hilbert::SpaceMapper mapper;
+  core::DsiIndex dsi;
+  hci::HciIndex hci;
+  rtree::RtreeIndex rtree;
+  air::DsiHandle dsi_handle;
+  air::HciHandle hci_handle;
+  air::RtreeHandle rtree_handle;
+  air::ExpHandle exp_handle;
+};
+
 class GoldenMetricsTest : public ::testing::Test {
  protected:
   static constexpr size_t kQueries = 12;
@@ -368,28 +428,14 @@ TEST_F(GoldenMetricsTest, Rtree) {
 }
 
 TEST_F(GoldenMetricsTest, CodedConfigsAllFamilies) {
-  const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), 6);
-  const core::DsiIndex dsi(objects_, mapper, kCapacity, core::DsiConfig{});
-  const air::DsiHandle dsi_handle(dsi);
-  const hci::HciIndex hci(objects_, mapper, kCapacity);
-  const air::HciHandle hci_handle(hci);
-  const air::ExpHandle exp_handle(objects_, mapper, kCapacity);
-  const rtree::RtreeIndex rt(objects_, kCapacity);
-  const air::RtreeHandle rtree_handle(rt);
-  const auto handle_for =
-      [&](const char* family) -> const air::AirIndexHandle& {
-    if (std::strcmp(family, "dsi") == 0) return dsi_handle;
-    if (std::strcmp(family, "rtree") == 0) return rtree_handle;
-    if (std::strcmp(family, "hci") == 0) return hci_handle;
-    return exp_handle;
-  };
+  const LayoutHandles handles(objects_);
   for (const CodedGoldenRow& row : kGoldenCoded) {
     sim::RunOptions opt;
     opt.seed = 77;
     opt.workers = 1;
     opt.coding = broadcast::CodingConfig{row.group, row.parity};
     const auto metrics = sim::RunWorkload(
-        handle_for(row.family), sim::Workload::Window(windows_, row.theta),
+        handles.For(row.family), sim::Workload::Window(windows_, row.theta),
         opt);
     const std::string label = std::string(row.family) + " (" +
                               std::to_string(row.group) + "," +
@@ -403,28 +449,14 @@ TEST_F(GoldenMetricsTest, CodedConfigsAllFamilies) {
 }
 
 TEST_F(GoldenMetricsTest, DiskConfigsAllFamilies) {
-  const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), 6);
-  const core::DsiIndex dsi(objects_, mapper, kCapacity, core::DsiConfig{});
-  const air::DsiHandle dsi_handle(dsi);
-  const hci::HciIndex hci(objects_, mapper, kCapacity);
-  const air::HciHandle hci_handle(hci);
-  const air::ExpHandle exp_handle(objects_, mapper, kCapacity);
-  const rtree::RtreeIndex rt(objects_, kCapacity);
-  const air::RtreeHandle rtree_handle(rt);
-  const auto handle_for =
-      [&](const char* family) -> const air::AirIndexHandle& {
-    if (std::strcmp(family, "dsi") == 0) return dsi_handle;
-    if (std::strcmp(family, "rtree") == 0) return rtree_handle;
-    if (std::strcmp(family, "hci") == 0) return hci_handle;
-    return exp_handle;
-  };
+  const LayoutHandles handles(objects_);
   for (const DiskGoldenRow& row : kGoldenDisks) {
     sim::RunOptions opt;
     opt.seed = 77;
     opt.workers = 1;
     opt.disks = broadcast::DiskConfig{row.disks, row.skew, 8, 5};
     const auto metrics = sim::RunWorkload(
-        handle_for(row.family), sim::Workload::Window(windows_, row.theta),
+        handles.For(row.family), sim::Workload::Window(windows_, row.theta),
         opt);
     const std::string label = std::string(row.family) + " disks=" +
                               std::to_string(row.disks) +
@@ -433,6 +465,29 @@ TEST_F(GoldenMetricsTest, DiskConfigsAllFamilies) {
     EXPECT_EQ(metrics.latency_bytes, row.latency_bytes) << label;
     EXPECT_EQ(metrics.tuning_bytes, row.tuning_bytes) << label;
     EXPECT_EQ(metrics.incomplete, row.incomplete) << label;
+  }
+}
+
+TEST_F(GoldenMetricsTest, CodedDiskConfigsAllFamilies) {
+  const LayoutHandles handles(objects_);
+  for (const CodedDiskGoldenRow& row : kGoldenCodedDisks) {
+    sim::RunOptions opt;
+    opt.seed = 77;
+    opt.workers = 1;
+    opt.disks = broadcast::DiskConfig{row.disks, row.skew, 8, 5};
+    opt.coding = broadcast::CodingConfig{row.group, row.parity};
+    const auto metrics = sim::RunWorkload(
+        handles.For(row.family), sim::Workload::Window(windows_, row.theta),
+        opt);
+    const std::string label = std::string(row.family) + " disks=" +
+                              std::to_string(row.disks) + " (" +
+                              std::to_string(row.group) + "," +
+                              std::to_string(row.parity) +
+                              ") theta=" + std::to_string(row.theta);
+    EXPECT_EQ(metrics.latency_bytes, row.latency_bytes) << label;
+    EXPECT_EQ(metrics.tuning_bytes, row.tuning_bytes) << label;
+    EXPECT_EQ(metrics.incomplete, row.incomplete) << label;
+    EXPECT_EQ(metrics.repaired, row.repaired) << label;
   }
 }
 

@@ -10,6 +10,7 @@
 #include <string_view>
 #include <vector>
 
+#include "air/disk_layout.hpp"
 #include "air/dsi_handle.hpp"
 #include "air/exp_handle.hpp"
 #include "air/hci_handle.hpp"
@@ -21,6 +22,36 @@
 
 namespace dsi {
 namespace {
+
+/// Airs a pre-built \p on_air program and forwards client construction to
+/// \p inner: running the engine on it with no layout options is running
+/// directly on that program.
+class PrebuiltAirHandle final : public air::AirIndexHandle {
+ public:
+  PrebuiltAirHandle(const air::AirIndexHandle& inner,
+                    broadcast::BroadcastProgram on_air)
+      : inner_(inner), on_air_(std::move(on_air)) {}
+  std::string_view family() const override { return inner_.family(); }
+  const broadcast::BroadcastProgram& program() const override {
+    return on_air_;
+  }
+  std::unique_ptr<air::AirClient> MakeClient(
+      broadcast::ClientSession* session) const override {
+    return inner_.MakeClient(session);
+  }
+  std::unique_ptr<air::AirClient> MakeContinuousClient(
+      broadcast::ClientSession* session) const override {
+    return inner_.MakeContinuousClient(session);
+  }
+  air::AirClient* MakeClientIn(air::ClientArena& arena,
+                               broadcast::ClientSession* session) const override {
+    return inner_.MakeClientIn(arena, session);
+  }
+
+ private:
+  const air::AirIndexHandle& inner_;
+  broadcast::BroadcastProgram on_air_;
+};
 
 class ParallelParityFixture : public ::testing::Test {
  protected:
@@ -109,6 +140,36 @@ TEST_F(ParallelParityFixture, LossyChannelParity) {
       const auto parallel =
           sim::RunWorkload(*handle, workload, sim::RunOptions{107, 8});
       ExpectIdentical(serial, parallel, handle->family(), "lossy window");
+    }
+  }
+}
+
+TEST_F(ParallelParityFixture, CodingAndDisksTogetherAirTheComposedCycle) {
+  // Both server layouts at once: the engine must air the disk layout with
+  // parity groups cut from its physical stream — exactly the program the
+  // two public transforms compose — not silently drop either layer.
+  const auto windows =
+      sim::MakeWindowWorkload(8, 0.1, datasets::UnitUniverse(), 37);
+  const broadcast::DiskConfig disks{3, 1.2, 8, 5};
+  const broadcast::CodingConfig coding{2, 1};
+  for (const double theta : {0.0, 0.5}) {
+    const auto workload = sim::Workload::Window(
+        windows, theta, broadcast::ErrorMode::kBurstLoss);
+    for (const air::AirIndexHandle* handle : Handles()) {
+      sim::RunOptions both{117, 2};
+      both.disks = disks;
+      both.coding = coding;
+      const PrebuiltAirHandle composed(
+          *handle, broadcast::MakeCodedProgram(
+                       air::MakeSkewedProgram(*handle, disks), coding));
+      ASSERT_TRUE(composed.program().coded());
+      ASSERT_TRUE(composed.program().multi_disk());
+      const auto engine = sim::RunWorkload(*handle, workload, both);
+      const auto direct =
+          sim::RunWorkload(composed, workload, sim::RunOptions{117, 2});
+      ExpectIdentical(engine, direct, handle->family(), "coded disks");
+      EXPECT_EQ(engine.repaired, direct.repaired) << handle->family();
+      if (theta > 0.0) EXPECT_GT(engine.repaired, 0u) << handle->family();
     }
   }
 }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "broadcast/coding.hpp"
+#include "broadcast/disks.hpp"
 #include "broadcast/program.hpp"
 #include "common/rng.hpp"
 #include "common/sizes.hpp"
@@ -58,27 +59,6 @@ broadcast::BroadcastProgram RandomProgram(common::Rng& rng, bool coded) {
       static_cast<uint32_t>(rng.UniformInt(2, 6)),
       static_cast<uint32_t>(rng.UniformInt(1, 2))};
   return broadcast::MakeCodedProgram(data, config);
-}
-
-bool SamePrograms(const broadcast::BroadcastProgram& a,
-                  const broadcast::BroadcastProgram& b) {
-  if (a.packet_capacity() != b.packet_capacity() ||
-      a.num_buckets() != b.num_buckets() ||
-      a.coding_group() != b.coding_group() ||
-      a.coding_parity() != b.coding_parity() ||
-      a.num_data_buckets() != b.num_data_buckets() ||
-      a.cycle_packets() != b.cycle_packets()) {
-    return false;
-  }
-  for (size_t s = 0; s < a.num_buckets(); ++s) {
-    if (a.bucket(s).kind != b.bucket(s).kind ||
-        a.bucket(s).payload != b.bucket(s).payload ||
-        a.bucket(s).size_bytes != b.bucket(s).size_bytes ||
-        a.bucket(s).start_packet != b.bucket(s).start_packet) {
-      return false;
-    }
-  }
-  return true;
 }
 
 // --- frame header ------------------------------------------------------------
@@ -195,6 +175,30 @@ TEST(WireFuzz, HelloRejectsUnbuildableRecipes) {
     h.coding_group = 60;
     h.coding_parity = 5;  // group + parity over the 64 cap
   });
+  reject([](wire::HelloPayload& h) {
+    h.coding_group = UINT32_MAX;
+    h.coding_parity = 1;  // the 64 cap must hold without 32-bit wraparound
+  });
+}
+
+TEST(WireFuzz, RecipeCheckNamesWhatTheDaemonMustRefuse) {
+  // The one recipe check the daemon runs before serving: a recipe it
+  // rejects is exactly one every client's DecodeHello would reject.
+  wire::HelloPayload good;
+  good.num_objects = 100;
+  EXPECT_EQ(wire::RecipeError(good), nullptr);
+  wire::HelloPayload back;
+  EXPECT_TRUE(wire::DecodeHello(wire::EncodeHello(good), &back));
+
+  wire::HelloPayload half_coded = good;
+  half_coded.coding_group = 3;  // --code-group without --code-parity
+  ASSERT_NE(wire::RecipeError(half_coded), nullptr);
+  EXPECT_FALSE(wire::DecodeHello(wire::EncodeHello(half_coded), &back));
+
+  wire::HelloPayload deep_order = good;
+  deep_order.hilbert_order = 17;
+  ASSERT_NE(wire::RecipeError(deep_order), nullptr);
+  EXPECT_FALSE(wire::DecodeHello(wire::EncodeHello(deep_order), &back));
 }
 
 // --- program announcement ----------------------------------------------------
@@ -224,7 +228,7 @@ TEST(WireFuzz, ProgramAnnouncementRoundTripAndTruncation) {
     EXPECT_EQ(back_meta.end_packet, meta.end_packet);
     ASSERT_TRUE(back.has_value());
     EXPECT_TRUE(back->finalized());
-    EXPECT_TRUE(SamePrograms(*back, program));
+    EXPECT_TRUE(*back == program);
 
     // Truncations anywhere — inside the fixed head or the slot table —
     // must fail; so must one trailing junk byte.
@@ -240,6 +244,39 @@ TEST(WireFuzz, ProgramAnnouncementRoundTripAndTruncation) {
     std::optional<broadcast::BroadcastProgram> none;
     EXPECT_FALSE(wire::DecodeProgramAnnouncement(padded, &back_meta, &none));
   }
+}
+
+TEST(WireFuzz, ProgramAnnouncementRejectsLayoutsItCannotRebuild) {
+  // The decoder rebuilds the layout by re-applying the announced coding to
+  // the data buckets; a bucket list that coding does not produce — or a
+  // multi-disk cycle, whose slot map the announcement cannot carry — is
+  // malformed, not silently mis-scheduled.
+  broadcast::BroadcastProgram data(64);
+  for (uint32_t i = 0; i < 7; ++i) {
+    data.AddBucket(broadcast::BucketKind::kDataObject, i, 64 * (1 + i % 3));
+  }
+  data.Finalize();
+  const wire::ProgramMeta meta;
+  wire::ProgramMeta back_meta;
+  std::optional<broadcast::BroadcastProgram> back;
+
+  const broadcast::BroadcastProgram coded =
+      broadcast::MakeCodedProgram(data, broadcast::CodingConfig{3, 1});
+  std::vector<uint8_t> bytes = wire::EncodeProgramAnnouncement(meta, coded);
+  ASSERT_TRUE(wire::DecodeProgramAnnouncement(bytes, &back_meta, &back));
+  EXPECT_TRUE(*back == coded);
+  // Last bucket = the wrap-around group's parity; re-kind it as data.
+  bytes[bytes.size() - 9] =
+      static_cast<uint8_t>(broadcast::BucketKind::kDataObject);
+  back.reset();
+  EXPECT_FALSE(wire::DecodeProgramAnnouncement(bytes, &back_meta, &back));
+  EXPECT_FALSE(back.has_value());
+
+  const broadcast::BroadcastProgram skewed = broadcast::MakeMultiDiskProgram(
+      data, 2, {1.0, 9.0, 1.0, 1.0, 9.0, 1.0, 1.0});
+  ASSERT_TRUE(skewed.multi_disk());
+  EXPECT_FALSE(wire::DecodeProgramAnnouncement(
+      wire::EncodeProgramAnnouncement(meta, skewed), &back_meta, &back));
 }
 
 // --- bucket frames -----------------------------------------------------------

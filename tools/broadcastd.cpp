@@ -27,6 +27,7 @@
 #include <string>
 
 #include "transport/broadcast_daemon.hpp"
+#include "wire/framing.hpp"
 
 namespace {
 
@@ -92,6 +93,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "broadcastd: --listen=tcp:PORT or --listen=unix:PATH is "
                  "required\n");
+    return 1;
+  }
+  // Refuse a recipe every client would reject at the handshake.
+  if (const char* why = wire::RecipeError(recipe)) {
+    std::fprintf(stderr, "broadcastd: invalid recipe: %s\n", why);
     return 1;
   }
 

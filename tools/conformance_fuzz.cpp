@@ -25,8 +25,9 @@
 /// --churn-rate, --num-disks or --disk-skew in sweep mode pins that axis
 /// across every swept case (the coded-channel, burst-weather, churn and
 /// skewed-multi-disk CI sweeps); axes not pinned keep their
-/// seed-determined values. Coding and multi-disk layouts are mutually
-/// exclusive: pinning one clears the other's seed-determined value.
+/// seed-determined values. Pinning the coding axis alone clears the
+/// seed-determined disk layout and vice versa, so each pinned sweep runs
+/// exactly one server layout; pinning both runs coded multi-disk cycles.
 ///
 /// A case fails on any oracle divergence (completed queries are checked
 /// against the object set of the generation they answered for) OR — at
@@ -280,14 +281,12 @@ int main(int argc, char** argv) {
       args.base.code_group + args.base.code_parity > 64 ||
       args.base.churn_rate < 0.0 || args.base.churn_rate > 1.0 ||
       args.base.num_disks < 1 || args.base.num_disks > 3 ||
-      args.base.disk_skew < 0.0 ||
-      (args.base.code_group > 0 && args.base.num_disks > 1)) {
+      args.base.disk_skew < 0.0) {
     std::fprintf(stderr,
                  "invalid case: need --n>=1, 1<=--order<=16, --capacity>=32, "
                  "0<=--theta<=1, --workers>=1, --generations>=1, "
                  "--gen-cycles>=1, --code-group + --code-parity <= 64, "
-                 "0<=--churn-rate<=1, 1<=--num-disks<=3, --disk-skew>=0, "
-                 "and not both --code-group>0 and --num-disks>1\n");
+                 "0<=--churn-rate<=1, 1<=--num-disks<=3, --disk-skew>=0\n");
     return 2;
   }
 
@@ -319,19 +318,13 @@ int main(int argc, char** argv) {
     // sweep (dataset/query/tune-in derivation stays seed-driven).
     if (args.have_theta) c.theta = args.base.theta;
     if (args.have_mode) c.error_mode = args.base.error_mode;
-    if (args.have_coding) {
-      c.code_group = args.base.code_group;
-      c.code_parity = args.base.code_parity;
-      // Coding and multi-disk layouts are mutually exclusive; a pinned
-      // coded channel flattens the seed-determined disk axis.
-      c.num_disks = 1;
-      c.disk_skew = 0.0;
-    }
-    if (args.have_disks) {
-      c.num_disks = args.base.num_disks;
-      c.disk_skew = args.base.disk_skew;
-      c.code_group = 0;
-      c.code_parity = 0;
+    // A pinned layout axis replaces the seed-determined one; the other
+    // layout axis is cleared unless it is pinned too.
+    if (args.have_coding || args.have_disks) {
+      c.code_group = args.have_coding ? args.base.code_group : 0;
+      c.code_parity = args.have_coding ? args.base.code_parity : 0;
+      c.num_disks = args.have_disks ? args.base.num_disks : 1;
+      c.disk_skew = args.have_disks ? args.base.disk_skew : 0.0;
     }
     if (args.have_clients) c.trajectory_clients = args.base.trajectory_clients;
     if (args.have_churn) c.churn_rate = args.base.churn_rate;

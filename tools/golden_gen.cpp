@@ -101,28 +101,25 @@ int main() {
         metrics.tuning_bytes, metrics.incomplete, metrics.repaired);
   };
 
-  {
-    const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), 6);
-    const core::DsiIndex dsi(objects, mapper, kCapacity, core::DsiConfig{});
-    const air::DsiHandle dh(dsi);
-    const hci::HciIndex hci(objects, mapper, kCapacity);
-    const air::HciHandle hh(hci);
-    const air::ExpHandle eh(objects, mapper, kCapacity);
-    const rtree::RtreeIndex rt(objects, kCapacity);
-    const air::RtreeHandle rh(rt);
-    for (const air::AirIndexHandle* h :
-         {static_cast<const air::AirIndexHandle*>(&dh),
-          static_cast<const air::AirIndexHandle*>(&rh),
-          static_cast<const air::AirIndexHandle*>(&hh),
-          static_cast<const air::AirIndexHandle*>(&eh)}) {
-      const std::string family(h->family());
-      for (const auto& cfg : {std::pair<uint32_t, uint32_t>{2, 1},
-                              std::pair<uint32_t, uint32_t>{2, 2}}) {
-        emit_coded(family.c_str(), cfg.first, cfg.second, "window", 0.0, *h,
-                   sim::Workload::Window(windows));
-        emit_coded(family.c_str(), cfg.first, cfg.second, "window", 0.5, *h,
-                   sim::Workload::Window(windows, 0.5));
-      }
+  // The server-layout sections below share one order-6 handle per family.
+  const hilbert::SpaceMapper mapper6(datasets::UnitUniverse(), 6);
+  const core::DsiIndex dsi6(objects, mapper6, kCapacity, core::DsiConfig{});
+  const air::DsiHandle dh(dsi6);
+  const hci::HciIndex hci6(objects, mapper6, kCapacity);
+  const air::HciHandle hh(hci6);
+  const air::ExpHandle eh(objects, mapper6, kCapacity);
+  const rtree::RtreeIndex rt6(objects, kCapacity);
+  const air::RtreeHandle rh(rt6);
+  const air::AirIndexHandle* const layout_handles[] = {&dh, &rh, &hh, &eh};
+
+  for (const air::AirIndexHandle* h : layout_handles) {
+    const std::string family(h->family());
+    for (const auto& cfg : {std::pair<uint32_t, uint32_t>{2, 1},
+                            std::pair<uint32_t, uint32_t>{2, 2}}) {
+      emit_coded(family.c_str(), cfg.first, cfg.second, "window", 0.0, *h,
+                 sim::Workload::Window(windows));
+      emit_coded(family.c_str(), cfg.first, cfg.second, "window", 0.5, *h,
+                 sim::Workload::Window(windows, 0.5));
     }
   }
 
@@ -145,29 +142,40 @@ int main() {
         metrics.incomplete);
   };
 
-  {
-    const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), 6);
-    const core::DsiIndex dsi(objects, mapper, kCapacity, core::DsiConfig{});
-    const air::DsiHandle dh(dsi);
-    const hci::HciIndex hci(objects, mapper, kCapacity);
-    const air::HciHandle hh(hci);
-    const air::ExpHandle eh(objects, mapper, kCapacity);
-    const rtree::RtreeIndex rt(objects, kCapacity);
-    const air::RtreeHandle rh(rt);
-    for (const air::AirIndexHandle* h :
-         {static_cast<const air::AirIndexHandle*>(&dh),
-          static_cast<const air::AirIndexHandle*>(&rh),
-          static_cast<const air::AirIndexHandle*>(&hh),
-          static_cast<const air::AirIndexHandle*>(&eh)}) {
-      const std::string family(h->family());
-      for (const auto& cfg : {std::pair<uint32_t, double>{1, 0.0},
-                              std::pair<uint32_t, double>{2, 1.2},
-                              std::pair<uint32_t, double>{3, 1.2}}) {
-        emit_disks(family.c_str(), cfg.first, cfg.second, "window", 0.0, *h,
-                   sim::Workload::Window(windows));
-        emit_disks(family.c_str(), cfg.first, cfg.second, "window", 0.5, *h,
-                   sim::Workload::Window(windows, 0.5));
-      }
+  for (const air::AirIndexHandle* h : layout_handles) {
+    const std::string family(h->family());
+    for (const auto& cfg : {std::pair<uint32_t, double>{1, 0.0},
+                            std::pair<uint32_t, double>{2, 1.2},
+                            std::pair<uint32_t, double>{3, 1.2}}) {
+      emit_disks(family.c_str(), cfg.first, cfg.second, "window", 0.0, *h,
+                 sim::Workload::Window(windows));
+      emit_disks(family.c_str(), cfg.first, cfg.second, "window", 0.5, *h,
+                 sim::Workload::Window(windows, 0.5));
+    }
+  }
+
+  // Coded multi-disk rows (CodedDiskGoldenRow format: family, disks, skew,
+  // group, parity, kind, theta, latency, tuning, incomplete, repaired): both
+  // server layouts at once — the 3-disk skewed cycle, then (2,1) parity
+  // groups over its physical stream. theta = 0 pins the composed layout and
+  // the repetition-aware hops over it; theta = 0.5 pins repair over disk
+  // airings.
+  for (const air::AirIndexHandle* h : layout_handles) {
+    const std::string family(h->family());
+    for (const double theta : {0.0, 0.5}) {
+      sim::RunOptions opt;
+      opt.seed = 77;
+      opt.workers = 1;
+      opt.disks = broadcast::DiskConfig{3, 1.2, 8, 5};
+      opt.coding = broadcast::CodingConfig{2, 1};
+      const auto metrics =
+          sim::RunWorkload(*h, sim::Workload::Window(windows, theta), opt);
+      std::printf(
+          "    {\"%s\", %u, %g, %u, %u, \"window\", %g, %.17g, %.17g, %zu, "
+          "%zu},\n",
+          family.c_str(), opt.disks.num_disks, opt.disks.skew,
+          opt.coding.group, opt.coding.parity, theta, metrics.latency_bytes,
+          metrics.tuning_bytes, metrics.incomplete, metrics.repaired);
     }
   }
   return 0;
