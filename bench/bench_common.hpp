@@ -4,21 +4,17 @@
 /// \brief Shared setup for the figure/table reproduction binaries: dataset
 /// construction, index builders, and command-line knobs.
 ///
-/// Every bench accepts:
-///   --queries=N   queries per data point (default 80)
-///   --objects=N   dataset cardinality (default 10000, the paper's UNIFORM)
-///   --real        use the REAL-substitute dataset (5848 clustered points)
-/// Metrics are printed in the paper's units: bytes (scaled per column).
+/// Every bench accepts --queries, --objects, --seed and --real; run one
+/// with --help for their meaning and defaults. Metrics are printed in the
+/// paper's units: bytes (scaled per column).
 
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "air/dsi_handle.hpp"
 #include "air/hci_handle.hpp"
 #include "air/rtree_handle.hpp"
+#include "common/flags.hpp"
 #include "datasets/datasets.hpp"
 #include "dsi/client.hpp"
 #include "dsi/index.hpp"
@@ -38,20 +34,16 @@ struct Options {
   uint64_t seed = 42;
 };
 
-inline Options ParseOptions(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--queries=", 0) == 0) {
-      opt.queries = static_cast<size_t>(std::stoul(arg.substr(10)));
-    } else if (arg.rfind("--objects=", 0) == 0) {
-      opt.objects = static_cast<size_t>(std::stoul(arg.substr(10)));
-    } else if (arg == "--real") {
-      opt.real = true;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = std::stoull(arg.substr(7));
-    }
-  }
+/// Parses a bench's command line: the four common flags over the defaults
+/// in \p opt, plus any the bench registered on \p flags.
+inline Options ParseOptions(int argc, char** argv,
+                            common::Flags flags = common::Flags(),
+                            Options opt = Options()) {
+  flags.Add("queries", &opt.queries, "queries per data point");
+  flags.Add("objects", &opt.objects, "dataset cardinality (UNIFORM: 10000)");
+  flags.Add("real", &opt.real, "use the 5848-point REAL substitute instead");
+  flags.Add("seed", &opt.seed, "dataset and workload seed");
+  flags.Parse(argc, argv);
   return opt;
 }
 

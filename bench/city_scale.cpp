@@ -23,14 +23,13 @@
 /// own 20-client population through the LOOP oracle engine and demanding
 /// bit-identical per-step results; any deviation fails the run.
 ///
-/// Extra knobs: --max-clients=N (ladder cap, default 10^6) --steps=N
-/// --churn-rate=R. The dataset deliberately defaults small (--objects to
-/// override): capacity, not per-query cost, is what this bench scales.
-/// Machine-readable rungs go to BENCH_city_scale.json.
+/// The dataset deliberately defaults small (--objects to override):
+/// capacity, not per-query cost, is what this bench scales. Run with
+/// --help for the flags. Machine-readable rungs go to
+/// BENCH_city_scale.json.
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -79,30 +78,16 @@ struct Rung {
 
 int main(int argc, char** argv) {
   using namespace dsi;
-  bench::Options opt;
-  opt.objects = 1024;  // small channel: this bench scales clients, not data
-  opt = [&] {
-    bench::Options parsed = bench::ParseOptions(argc, argv);
-    bool objects_given = false;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--objects=", 10) == 0) objects_given = true;
-    }
-    if (!objects_given) parsed.objects = opt.objects;
-    return parsed;
-  }();
   size_t max_clients = 1'000'000;
   size_t steps = 4;
   double churn_rate = 0.3;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--max-clients=", 0) == 0) {
-      max_clients = static_cast<size_t>(std::stoul(arg.substr(14)));
-    } else if (arg.rfind("--steps=", 0) == 0) {
-      steps = static_cast<size_t>(std::stoul(arg.substr(8)));
-    } else if (arg.rfind("--churn-rate=", 0) == 0) {
-      churn_rate = std::stod(arg.substr(13));
-    }
-  }
+  common::Flags flags;
+  flags.Add("max-clients", &max_clients, "population ladder cap");
+  flags.Add("steps", &steps, "re-evaluations per client tour");
+  flags.Add("churn-rate", &churn_rate, "probability a client departs early");
+  // Small channel by default: this bench scales clients, not data.
+  const bench::Options opt =
+      bench::ParseOptions(argc, argv, flags, bench::Options{.objects = 1024});
 
   const auto objects = bench::MakeDataset(opt);
   const auto u = datasets::UnitUniverse();

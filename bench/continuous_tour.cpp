@@ -14,7 +14,7 @@
 ///       re-exposure to loss — what you do not re-listen to cannot be
 ///       corrupted.
 ///
-/// All four families. Extra knobs: --clients=N --steps=N --theta=T.
+/// All four families; run with --help for the flags.
 /// Besides the aligned tables, machine-readable series go to
 /// BENCH_continuous_tour.json (schema in bench/README.md).
 
@@ -41,20 +41,14 @@ struct JsonRow {
 
 int main(int argc, char** argv) {
   using namespace dsi;
-  const bench::Options opt = bench::ParseOptions(argc, argv);
   size_t clients = 20;
   size_t steps = 12;
   double lossy_theta = 0.5;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--clients=", 0) == 0) {
-      clients = static_cast<size_t>(std::stoul(arg.substr(10)));
-    } else if (arg.rfind("--steps=", 0) == 0) {
-      steps = static_cast<size_t>(std::stoul(arg.substr(8)));
-    } else if (arg.rfind("--theta=", 0) == 0) {
-      lossy_theta = std::stod(arg.substr(8));
-    }
-  }
+  common::Flags flags;
+  flags.Add("clients", &clients, "moving clients per data point");
+  flags.Add("steps", &steps, "re-evaluations per tour");
+  flags.Add("theta", &lossy_theta, "per-bucket loss rate of the lossy sweep");
+  const bench::Options opt = bench::ParseOptions(argc, argv, flags);
 
   const auto objects = bench::MakeDataset(opt);
   const auto u = datasets::UnitUniverse();

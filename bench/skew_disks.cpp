@@ -17,9 +17,8 @@
 /// trends the same way but keeps most of the stretch: its key-order scans
 /// straddle tiers no matter how hot the window is.
 ///
-///   skew_disks [--queries=N] [--objects=N] [--seed=S] [--out=FILE.json]
-///
-/// --out writes the sweep as JSON rows for CI artifacts.
+/// --out writes the sweep as JSON rows for CI artifacts; --help lists the
+/// flags.
 
 #include <cstdio>
 #include <iostream>
@@ -55,12 +54,10 @@ std::vector<dsi::common::Rect> MakeSkewedWindows(
 
 int main(int argc, char** argv) {
   using namespace dsi;
-  const bench::Options opt = bench::ParseOptions(argc, argv);
   std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) out_path = arg.substr(6);
-  }
+  common::Flags flags;
+  flags.Add("out", &out_path, "also write the sweep as JSON rows here");
+  const bench::Options opt = bench::ParseOptions(argc, argv, flags);
   const auto objects = bench::MakeDataset(opt);
   const hilbert::SpaceMapper mapper(datasets::UnitUniverse(),
                                     bench::OrderFor(opt));

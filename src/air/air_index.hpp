@@ -170,7 +170,9 @@ class AirIndexHandle {
       const common::Rect& universe) const;
 
   /// Constructs a client for one query over \p session. The session must be
-  /// fresh (InitialProbe not yet called) and outlive the client.
+  /// fresh (InitialProbe not yet called) and outlive the client. Kept beside
+  /// MakeClientIn for callers that own a client past the next query
+  /// (MakeContinuousClient, the examples).
   virtual std::unique_ptr<AirClient> MakeClient(
       broadcast::ClientSession* session) const = 0;
 

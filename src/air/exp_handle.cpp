@@ -73,10 +73,14 @@ class ExpAirClient : public AirClient {
         side / static_cast<double>(handle_.mapper().curve().side()));
 
     hilbert::IntervalSet scanned;
+    // This round's targets minus `scanned`, held apart from it: the loop
+    // below Adds to `scanned` while walking this buffer.
+    std::vector<hilbert::HcRange> unscanned;
     std::map<uint32_t, datasets::SpatialObject> candidates;  // by rank
     while (true) {
       const auto targets = handle_.mapper().CircleToRanges(q, radius);
-      for (const hilbert::HcRange& r : scanned.Subtract(targets)) {
+      scanned.SubtractInto(targets, &unscanned);
+      for (const hilbert::HcRange& r : unscanned) {
         for (const uint32_t rank : client_.RangeQuery(r.lo, r.hi)) {
           candidates.emplace(rank, handle_.sorted_objects()[rank]);
         }

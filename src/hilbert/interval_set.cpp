@@ -42,13 +42,6 @@ bool IntervalSet::Covers(const HcRange& r) const {
   return it != ranges_.end() && it->lo <= r.lo && r.hi <= it->hi;
 }
 
-std::vector<HcRange> IntervalSet::Subtract(
-    const std::vector<HcRange>& targets) const {
-  std::vector<HcRange> out;
-  SubtractInto(targets, &out);
-  return out;
-}
-
 void IntervalSet::SubtractInto(const std::vector<HcRange>& targets,
                                std::vector<HcRange>* out_ptr) const {
   std::vector<HcRange>& out = *out_ptr;

@@ -29,12 +29,9 @@ class IntervalSet {
   /// True iff [r.lo, r.hi] is fully inside the set.
   bool Covers(const HcRange& r) const;
 
-  /// Returns \p targets minus this set: the sub-ranges of each target not
-  /// yet covered, normalized.
-  std::vector<HcRange> Subtract(const std::vector<HcRange>& targets) const;
-
-  /// Subtract into a caller-provided buffer (cleared first); the hot-path
-  /// form — the pending-target loop calls this every iteration.
+  /// Writes \p targets minus this set into \p out (cleared first): the
+  /// sub-ranges of each target not yet covered, normalized. The buffer is
+  /// the caller's so the pending-target loops reuse it every iteration.
   void SubtractInto(const std::vector<HcRange>& targets,
                     std::vector<HcRange>* out) const;
 

@@ -217,7 +217,6 @@ void CheckWorkload(const std::vector<const air::AirIndexHandle*>& gens,
   RunOptions opt;
   opt.seed = c.seed;
   opt.workers = c.workers;
-  opt.heap_clients = c.heap_clients;
   opt.results = &results;
   opt.coding = CaseCoding(c);
   opt.disks = CaseDisks(c);
@@ -444,7 +443,6 @@ void CheckTrajectories(const std::vector<const air::AirIndexHandle*>& gens,
   TrajectoryOptions opt;
   opt.seed = c.seed;
   opt.workers = c.workers;
-  opt.heap_clients = c.heap_clients;
   opt.cold_baseline = true;
   opt.results = &results;
   opt.coding = CaseCoding(c);
@@ -704,7 +702,6 @@ ConformanceCase MakeConformanceCase(uint64_t seed) {
     c.theta = rng.Uniform(0.05, 0.7);
   }
   c.workers = 1 + (seed / 2) % 2;
-  c.heap_clients = (seed / 4) % 2 == 1;
 
   // Dynamic broadcasts: every fourth block of five seeds runs 3-4
   // generations with a non-trivial update stream between them.
@@ -849,7 +846,7 @@ std::string FormatReproducer(const ConformanceCase& c,
      << " --object-factor=" << c.object_factor
      << " --chunk-size=" << c.chunk_size << " --theta=" << c.theta
      << " --error-mode=" << ModeName(c.error_mode)
-     << " --workers=" << c.workers << " --heap=" << (c.heap_clients ? 1 : 0)
+     << " --workers=" << c.workers
      << " --windows=" << c.window_queries << " --knn-points=" << c.knn_points
      << " --k=" << c.k << " --duplicates=" << (c.duplicates ? 1 : 0)
      << " --generations=" << c.generations
@@ -857,7 +854,7 @@ std::string FormatReproducer(const ConformanceCase& c,
      << " --gen-cycles=" << c.gen_cycles
      << " --code-group=" << c.code_group
      << " --code-parity=" << c.code_parity
-     << " --traj-clients=" << c.trajectory_clients
+     << " --clients=" << c.trajectory_clients
      << " --traj-steps=" << c.trajectory_steps
      << " --churn-rate=" << c.churn_rate
      << " --num-disks=" << c.num_disks << " --disk-skew=" << c.disk_skew;

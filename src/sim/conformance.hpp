@@ -3,8 +3,8 @@
 /// \file conformance.hpp
 /// \brief Differential conformance harness: drives every index family
 /// through the *real* experiment engine (sim::RunWorkload, per-query
-/// sessions, arena or heap clients, lossy channels, mid-cycle tune-ins) and
-/// checks each query's result set against a brute-force oracle.
+/// sessions, lossy channels, mid-cycle tune-ins) and checks each query's
+/// result set against a brute-force oracle.
 ///
 /// The paper's central correctness claim is that broadcast queries return
 /// exact answers no matter where in the cycle the client tunes in and no
@@ -55,7 +55,6 @@ struct ConformanceCase {
   double theta = 0.0;         ///< Link-error rate (up to 1.0 = total loss).
   broadcast::ErrorMode error_mode = broadcast::ErrorMode::kPerReadLoss;
   size_t workers = 1;         ///< Engine worker threads.
-  bool heap_clients = false;  ///< Heap (vs arena) client construction.
   /// Duplicate-heavy dataset: a handful of distinct sites, each hosting a
   /// pile of coincident objects (identical Hilbert keys) — exercises
   /// equal-key runs in frame/chunk formation, kNN distance-multiset ties

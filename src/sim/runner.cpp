@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -30,23 +29,10 @@ struct ShardSums {
   size_t repaired = 0;
 };
 
-/// Builds query i's client over \p session (arena or heap per
-/// \p options) and runs the query. \p holder keeps a heap client alive
-/// for the caller's scope. Shared by the static and generational shard
-/// loops so allocation-mode and query-kind dispatch cannot diverge.
-std::vector<datasets::SpatialObject> RunOneQuery(
-    const air::AirIndexHandle& handle, broadcast::ClientSession* session,
-    const Workload& wl, size_t i, const RunOptions& options,
-    air::ClientArena& arena, std::unique_ptr<air::AirClient>* holder,
-    air::AirClient** client_out) {
-  air::AirClient* client;
-  if (options.heap_clients) {
-    *holder = handle.MakeClient(session);
-    client = holder->get();
-  } else {
-    client = handle.MakeClientIn(arena, session);
-  }
-  *client_out = client;
+/// Runs query i of \p wl on \p client. Shared by the static and
+/// generational shard loops so query-kind dispatch cannot diverge.
+std::vector<datasets::SpatialObject> RunQuery(air::AirClient* client,
+                                              const Workload& wl, size_t i) {
   if (wl.kind == QueryKind::kWindow) {
     return client->WindowQuery(wl.windows[i]);
   }
@@ -112,10 +98,9 @@ ShardSums RunShard(const air::AirIndexHandle& index,
     broadcast::ClientSession session(
         channel, tune_in, broadcast::ErrorModel{wl.theta, wl.error_mode},
         rng.Fork());
-    std::unique_ptr<air::AirClient> heap_client;
-    air::AirClient* client = nullptr;
-    const std::vector<datasets::SpatialObject> answer = RunOneQuery(
-        index, &session, wl, i, options, arena, &heap_client, &client);
+    air::AirClient* client = index.MakeClientIn(arena, &session);
+    const std::vector<datasets::SpatialObject> answer =
+        RunQuery(client, wl, i);
     const broadcast::Metrics m = session.metrics();
     sums.latency_bytes += m.access_latency_bytes;
     sums.tuning_bytes += m.tuning_bytes;
@@ -153,10 +138,9 @@ ShardSums RunGenerationalShard(const GenerationalIndex& index,
     size_t restarts = 0;
     while (true) {
       const uint64_t gen = session.generation();
-      std::unique_ptr<air::AirClient> heap_client;
-      air::AirClient* client = nullptr;
-      answer = RunOneQuery(*index.generations[gen], &session, wl, i, options,
-                           arena, &heap_client, &client);
+      air::AirClient* client =
+          index.generations[gen]->MakeClientIn(arena, &session);
+      answer = RunQuery(client, wl, i);
       const air::ClientStats st = client->stats();
       if (st.stale) {
         // The broadcast was republished mid-query: all learned state died

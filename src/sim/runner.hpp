@@ -85,10 +85,6 @@ struct RunOptions {
   /// When set, resized to the workload size and filled with the per-query
   /// result sets (entry i belongs to query i regardless of worker count).
   std::vector<QueryResult>* results = nullptr;
-  /// Construct each query's client on the heap (AirIndexHandle::MakeClient)
-  /// instead of the per-worker arena. Results and metrics must be identical
-  /// either way; conformance runs exercise both paths.
-  bool heap_clients = false;
   /// Server-side erasure coding of the on-air cycle. Disabled by default;
   /// when enabled every query listens to the coded program (parity buckets
   /// interleaved per group) and lost reads repair in place. Disabled runs

@@ -67,14 +67,7 @@ void RunColdStep(const std::vector<const air::AirIndexHandle*>& gens,
   size_t restarts = 0;
   while (true) {
     const uint64_t gen = session.generation();
-    std::unique_ptr<air::AirClient> heap_client;
-    air::AirClient* client;
-    if (options.heap_clients) {
-      heap_client = gens[gen]->MakeClient(&session);
-      client = heap_client.get();
-    } else {
-      client = gens[gen]->MakeClientIn(arena, &session);
-    }
+    air::AirClient* client = gens[gen]->MakeClientIn(arena, &session);
     answer = RunStepQuery(*client, wl, c, s);
     const air::ClientStats st = client->stats();
     if (st.stale) {

@@ -44,9 +44,9 @@ std::string Describe(const sim::ConformanceReport& r,
 
 // The sweep: every seed covers all four families through sim::RunWorkload
 // (uniform mid-cycle tune-ins), clean and lossy channels (theta up to 0.7
-// across all three error modes), m = 1..3 reorganized DSI broadcasts, both
-// allocation modes, 1 and 2 workers, and the degenerate query shapes. CI
-// runs a further 200+ seed matrix via tools/conformance_fuzz.
+// across all three error modes), m = 1..3 reorganized DSI broadcasts, 1
+// and 2 workers, and the degenerate query shapes. CI runs a further 200+
+// seed matrix via tools/conformance_fuzz.
 class ConformanceSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ConformanceSweep, AllFamiliesMatchOracle) {
@@ -140,7 +140,6 @@ TEST(ConformanceRegression, ExpAdapterManyRangeScansUnderLoss) {
   c.theta = 0.42;
   c.error_mode = broadcast::ErrorMode::kPerReadLoss;
   c.workers = 2;
-  c.heap_clients = true;
   c.k = 4;
   const auto r = sim::RunConformanceCase(c, {"expindex"});
   EXPECT_TRUE(r.divergences.empty()) << Describe(r, c);

@@ -57,7 +57,8 @@ TEST(IntervalSetTest, AddContainedIsNoop) {
 TEST(IntervalSetTest, SubtractBasics) {
   IntervalSet s;
   s.Add({10, 20});
-  const auto rem = s.Subtract({{0, 30}});
+  std::vector<HcRange> rem;
+  s.SubtractInto({{0, 30}}, &rem);
   ASSERT_EQ(rem.size(), 2u);
   EXPECT_EQ(rem[0], (HcRange{0, 9}));
   EXPECT_EQ(rem[1], (HcRange{21, 30}));
@@ -66,13 +67,16 @@ TEST(IntervalSetTest, SubtractBasics) {
 TEST(IntervalSetTest, SubtractFullyCovered) {
   IntervalSet s;
   s.Add({0, 100});
-  EXPECT_TRUE(s.Subtract({{10, 20}, {50, 60}}).empty());
+  std::vector<HcRange> rem;
+  s.SubtractInto({{10, 20}, {50, 60}}, &rem);
+  EXPECT_TRUE(rem.empty());
 }
 
 TEST(IntervalSetTest, SubtractUntouched) {
   IntervalSet s;
   s.Add({100, 200});
-  const auto rem = s.Subtract({{0, 50}});
+  std::vector<HcRange> rem;
+  s.SubtractInto({{0, 50}}, &rem);
   ASSERT_EQ(rem.size(), 1u);
   EXPECT_EQ(rem[0], (HcRange{0, 50}));
 }
@@ -80,7 +84,8 @@ TEST(IntervalSetTest, SubtractUntouched) {
 TEST(IntervalSetTest, SubtractEdgeTouching) {
   IntervalSet s;
   s.Add({10, 20});
-  const auto rem = s.Subtract({{20, 25}});
+  std::vector<HcRange> rem;
+  s.SubtractInto({{20, 25}}, &rem);
   ASSERT_EQ(rem.size(), 1u);
   EXPECT_EQ(rem[0], (HcRange{21, 25}));
 }
@@ -173,7 +178,8 @@ TEST(IntervalSetTest, RandomizedMatchesPointOracle) {
     for (int i = 0; i < 10; ++i) {
       const auto lo = static_cast<uint64_t>(rng.UniformInt(0, 180));
       const auto hi = lo + static_cast<uint64_t>(rng.UniformInt(0, 30));
-      const auto rem = s.Subtract({{lo, hi}});
+      std::vector<HcRange> rem;
+      s.SubtractInto({{lo, hi}}, &rem);
       std::set<uint64_t> rem_points;
       for (const auto& r : rem) {
         for (uint64_t v = r.lo; v <= r.hi; ++v) rem_points.insert(v);

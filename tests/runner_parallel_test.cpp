@@ -258,10 +258,9 @@ TEST_F(ParallelParityFixture, ArenaClientsMatchHeapClients) {
   }
 }
 
-TEST_F(ParallelParityFixture, ResultCaptureParityAcrossShardingAndAllocation) {
+TEST_F(ParallelParityFixture, ResultCaptureParityAcrossSharding) {
   // RunOptions::results entries are keyed by query index, so any worker
-  // count — and the heap-vs-arena client mode — must fill identical result
-  // sets, lossless and lossy.
+  // count must fill identical result sets, lossless and lossy.
   const auto windows =
       sim::MakeWindowWorkload(9, 0.12, datasets::UnitUniverse(), 51);
   const auto points = sim::MakeKnnWorkload(9, datasets::UnitUniverse(), 53);
@@ -282,24 +281,20 @@ TEST_F(ParallelParityFixture, ResultCaptureParityAcrossShardingAndAllocation) {
       (void)sim::RunWorkload(*handle, workload, base_opt);
       ASSERT_EQ(baseline.size(), workload.size());
 
-      for (const bool heap : {false, true}) {
-        for (const size_t workers : {1u, 4u}) {
-          std::vector<sim::QueryResult> got;
-          sim::RunOptions opt;
-          opt.seed = 211;
-          opt.workers = workers;
-          opt.heap_clients = heap;
-          opt.results = &got;
-          (void)sim::RunWorkload(*handle, workload, opt);
-          ASSERT_EQ(got.size(), baseline.size());
-          for (size_t i = 0; i < got.size(); ++i) {
-            EXPECT_EQ(got[i].ids, baseline[i].ids)
-                << handle->family() << " query " << i << " workers "
-                << workers << " heap " << heap;
-            EXPECT_EQ(got[i].knn_distances, baseline[i].knn_distances)
-                << handle->family() << " query " << i;
-            EXPECT_EQ(got[i].completed, baseline[i].completed);
-          }
+      for (const size_t workers : {1u, 4u}) {
+        std::vector<sim::QueryResult> got;
+        sim::RunOptions opt;
+        opt.seed = 211;
+        opt.workers = workers;
+        opt.results = &got;
+        (void)sim::RunWorkload(*handle, workload, opt);
+        ASSERT_EQ(got.size(), baseline.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].ids, baseline[i].ids)
+              << handle->family() << " query " << i << " workers " << workers;
+          EXPECT_EQ(got[i].knn_distances, baseline[i].knn_distances)
+              << handle->family() << " query " << i;
+          EXPECT_EQ(got[i].completed, baseline[i].completed);
         }
       }
     }

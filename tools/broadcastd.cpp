@@ -9,23 +9,16 @@
 /// connection finishes its current cycle, receives a kShutdown frame at
 /// the boundary, and the daemon exits 0.
 ///
-/// Usage: broadcastd --listen=tcp:PORT|unix:PATH
-///                   [--family=dsi|rtree|hci|expindex] [--n=N] [--seed=S]
-///                   [--capacity=B] [--order=O] [--m=M]
-///                   [--generations=G] [--updates=U] [--gen-cycles=C]
-///                   [--code-group=GRP] [--code-parity=P]
-///                   [--pps=PACKETS_PER_SECOND]   (0 = unthrottled)
-///
-/// Prints the bound endpoint ("listening on tcp:PORT") once serving, so
-/// scripts can wait for readiness on stdout.
+/// Run with --help for the flags. Prints the bound endpoint ("listening on
+/// tcp:PORT") once serving, so scripts can wait for readiness on stdout.
 
 #include <unistd.h>
 
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "common/flags.hpp"
 #include "transport/broadcast_daemon.hpp"
 #include "wire/framing.hpp"
 
@@ -51,43 +44,26 @@ int main(int argc, char** argv) {
   recipe.seed = 42;
   recipe.num_objects = 500;
   std::string listen;
+  std::string family = "dsi";
   double pps = 0.0;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--listen=", 0) == 0) {
-      listen = arg.substr(9);
-    } else if (arg.rfind("--family=", 0) == 0) {
-      if (!ParseFamily(arg.substr(9), &recipe.family)) {
-        std::fprintf(stderr, "unknown family: %s\n", arg.c_str());
-        return 1;
-      }
-    } else if (arg.rfind("--n=", 0) == 0) {
-      recipe.num_objects = static_cast<uint32_t>(std::stoul(arg.substr(4)));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      recipe.seed = std::stoull(arg.substr(7));
-    } else if (arg.rfind("--capacity=", 0) == 0) {
-      recipe.packet_capacity = static_cast<uint32_t>(std::stoul(arg.substr(11)));
-    } else if (arg.rfind("--order=", 0) == 0) {
-      recipe.hilbert_order = static_cast<uint32_t>(std::stoul(arg.substr(8)));
-    } else if (arg.rfind("--m=", 0) == 0) {
-      recipe.num_segments = static_cast<uint32_t>(std::stoul(arg.substr(4)));
-    } else if (arg.rfind("--generations=", 0) == 0) {
-      recipe.num_generations = static_cast<uint32_t>(std::stoul(arg.substr(14)));
-    } else if (arg.rfind("--updates=", 0) == 0) {
-      recipe.updates_per_gen = static_cast<uint32_t>(std::stoul(arg.substr(10)));
-    } else if (arg.rfind("--gen-cycles=", 0) == 0) {
-      recipe.gen_cycles = std::stoull(arg.substr(13));
-    } else if (arg.rfind("--code-group=", 0) == 0) {
-      recipe.coding_group = static_cast<uint32_t>(std::stoul(arg.substr(13)));
-    } else if (arg.rfind("--code-parity=", 0) == 0) {
-      recipe.coding_parity = static_cast<uint32_t>(std::stoul(arg.substr(14)));
-    } else if (arg.rfind("--pps=", 0) == 0) {
-      pps = std::stod(arg.substr(6));
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return 1;
-    }
+  common::Flags flags;
+  flags.Add("listen", &listen, "endpoint to serve: tcp:PORT or unix:PATH");
+  flags.Add("family", &family, "dsi, rtree, hci or expindex");
+  flags.Add("n", &recipe.num_objects, "dataset cardinality");
+  flags.Add("seed", &recipe.seed, "dataset and update-stream seed");
+  flags.Add("capacity", &recipe.packet_capacity, "packet capacity in bytes");
+  flags.Add("order", &recipe.hilbert_order, "Hilbert curve order");
+  flags.Add("m", &recipe.num_segments, "DSI broadcast segments");
+  flags.Add("generations", &recipe.num_generations, "broadcast generations");
+  flags.Add("updates", &recipe.updates_per_gen, "update ops per generation");
+  flags.Add("gen-cycles", &recipe.gen_cycles, "cycles per generation");
+  flags.Add("code-group", &recipe.coding_group, "coding group (0 = uncoded)");
+  flags.Add("code-parity", &recipe.coding_parity, "parity buckets per group");
+  flags.Add("pps", &pps, "packets per second (0 = unthrottled)");
+  flags.Parse(argc, argv, /*usage_exit=*/1);
+  if (!ParseFamily(family, &recipe.family)) {
+    std::fprintf(stderr, "broadcastd: unknown family: %s\n", family.c_str());
+    return 1;
   }
   if (listen.empty()) {
     std::fprintf(stderr,

@@ -10,13 +10,7 @@
 /// every seed also runs the tours through BOTH simulation cores — the
 /// loop oracle and the event-driven scheduler — and diffs them
 /// bit-exactly, with churned populations on a quarter of the seeds) —
-/// against brute-force oracles:
-///
-///   conformance_fuzz --seeds=200 [--start=0] [--families=dsi,hci]
-///       [--min-generations=3] [--min-updates=2]
-///       [--theta=0.5 --error-mode=burst --code-group=2 --code-parity=2]
-///       [--clients=8 --churn-rate=0.5]
-///       [--num-disks=3 --disk-skew=1.2]
+/// against brute-force oracles (--help lists the flags).
 ///
 /// --min-generations / --min-updates lift every swept case to at least
 /// that many broadcast generations / update ops between generations — the
@@ -37,22 +31,19 @@
 /// legitimate; only completed-query correctness and the exact
 /// AvgMetrics::incomplete accounting are enforced. The driver then shrinks
 /// the failing instance (smaller dataset, lossless channel, static
-/// broadcast, serial arena execution — whatever keeps it failing) and
-/// prints a one-line reproducer. Replaying one is repro mode:
-///
-///   conformance_fuzz --repro --seed=17 --n=64 --order=5 ... --families=dsi
-///
-/// which runs exactly that instance and prints every divergence in full.
-/// Exit code 0 = conformant, 1 = divergence, 2 = bad usage.
+/// broadcast, serial execution — whatever keeps it failing) and prints a
+/// one-line reproducer. Replaying one (--repro) runs exactly that instance
+/// and prints every divergence in full. Exit code 0 = conformant, 1 =
+/// divergence, 2 = bad usage.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "sim/conformance.hpp"
 
 namespace {
@@ -60,25 +51,6 @@ namespace {
 using dsi::sim::ConformanceCase;
 using dsi::sim::ConformanceReport;
 using dsi::sim::Divergence;
-
-struct Args {
-  bool repro = false;
-  uint64_t seeds = 50;
-  uint64_t start = 0;
-  std::vector<std::string> families;
-  ConformanceCase base;     // repro mode: explicit case
-  bool have_seed = false;
-  // Sweep-mode floors: force every case onto the dynamic-broadcast axis.
-  uint32_t min_generations = 1;
-  uint32_t min_updates = 0;
-  // Sweep-mode axis pins (set when the flag was given explicitly).
-  bool have_theta = false;
-  bool have_mode = false;
-  bool have_coding = false;
-  bool have_clients = false;
-  bool have_churn = false;
-  bool have_disks = false;
-};
 
 std::vector<std::string> SplitFamilies(const std::string& value) {
   std::vector<std::string> out;
@@ -98,53 +70,6 @@ bool ParseMode(const std::string& value, dsi::broadcast::ErrorMode* mode) {
   else if (value == "bucket") *mode = dsi::broadcast::ErrorMode::kPerBucketLoss;
   else if (value == "burst") *mode = dsi::broadcast::ErrorMode::kBurstLoss;
   else return false;
-  return true;
-}
-
-bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const size_t eq = arg.find('=');
-    const std::string key = arg.substr(0, eq);
-    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
-    auto u64 = [&]() { return static_cast<uint64_t>(std::strtoull(value.c_str(), nullptr, 10)); };
-    if (key == "--repro") args->repro = true;
-    else if (key == "--seeds") args->seeds = u64();
-    else if (key == "--start") args->start = u64();
-    else if (key == "--families") args->families = SplitFamilies(value);
-    else if (key == "--seed") { args->base.seed = u64(); args->have_seed = true; }
-    else if (key == "--n") args->base.n = u64();
-    else if (key == "--order") args->base.order = static_cast<int>(u64());
-    else if (key == "--capacity") args->base.capacity = u64();
-    else if (key == "--clustered") args->base.clustered = u64() != 0;
-    else if (key == "--m") args->base.m = static_cast<uint32_t>(u64());
-    else if (key == "--object-factor") args->base.object_factor = static_cast<uint32_t>(u64());
-    else if (key == "--chunk-size") args->base.chunk_size = static_cast<uint32_t>(u64());
-    else if (key == "--theta") { args->base.theta = std::strtod(value.c_str(), nullptr); args->have_theta = true; }
-    else if (key == "--error-mode") { if (!ParseMode(value, &args->base.error_mode)) return false; args->have_mode = true; }
-    else if (key == "--workers") args->base.workers = u64();
-    else if (key == "--heap") args->base.heap_clients = u64() != 0;
-    else if (key == "--windows") args->base.window_queries = u64();
-    else if (key == "--knn-points") args->base.knn_points = u64();
-    else if (key == "--k") args->base.k = u64();
-    else if (key == "--duplicates") args->base.duplicates = u64() != 0;
-    else if (key == "--generations") args->base.generations = static_cast<uint32_t>(u64());
-    else if (key == "--updates") args->base.updates_per_gen = static_cast<uint32_t>(u64());
-    else if (key == "--gen-cycles") args->base.gen_cycles = static_cast<uint32_t>(u64());
-    else if (key == "--code-group") { args->base.code_group = static_cast<uint32_t>(u64()); args->have_coding = true; }
-    else if (key == "--code-parity") { args->base.code_parity = static_cast<uint32_t>(u64()); args->have_coding = true; }
-    else if (key == "--traj-clients" || key == "--clients") { args->base.trajectory_clients = static_cast<uint32_t>(u64()); args->have_clients = true; }
-    else if (key == "--traj-steps") args->base.trajectory_steps = static_cast<uint32_t>(u64());
-    else if (key == "--churn-rate") { args->base.churn_rate = std::strtod(value.c_str(), nullptr); args->have_churn = true; }
-    else if (key == "--num-disks") { args->base.num_disks = static_cast<uint32_t>(u64()); args->have_disks = true; }
-    else if (key == "--disk-skew") { args->base.disk_skew = std::strtod(value.c_str(), nullptr); args->have_disks = true; }
-    else if (key == "--min-generations") args->min_generations = static_cast<uint32_t>(u64());
-    else if (key == "--min-updates") args->min_updates = static_cast<uint32_t>(u64());
-    else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return false;
-    }
-  }
   return true;
 }
 
@@ -248,11 +173,10 @@ ConformanceCase Shrink(ConformanceCase c,
     candidate.theta = 0.0;
     if (fails(candidate)) c = candidate;
   }
-  // Serial, arena-allocated execution.
-  if (c.workers != 1 || c.heap_clients) {
+  // Serial execution.
+  if (c.workers != 1) {
     ConformanceCase candidate = c;
     candidate.workers = 1;
-    candidate.heap_clients = false;
     if (fails(candidate)) c = candidate;
   }
   // Fewer random queries (degenerates always remain).
@@ -270,18 +194,67 @@ ConformanceCase Shrink(ConformanceCase c,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) return 2;
+  bool repro = false;
+  uint64_t seeds = 50;
+  uint64_t start = 0;
+  std::string family_list;
+  std::string error_mode = "read";
+  ConformanceCase base;  // repro: the case; sweep: axes pinned when Seen
+  // Sweep-mode floors: force every case onto the dynamic-broadcast axis.
+  uint32_t min_generations = 1;
+  uint32_t min_updates = 0;
+  dsi::common::Flags flags;
+  flags.Add("repro", &repro, "run exactly the case given by the flags");
+  flags.Add("seeds", &seeds, "sweep: number of seeds");
+  flags.Add("start", &start, "sweep: first seed");
+  flags.Add("families", &family_list, "subset of dsi,rtree,hci,expindex");
+  flags.Add("min-generations", &min_generations, "sweep: generations floor");
+  flags.Add("min-updates", &min_updates, "sweep: dynamic cases' update floor");
+  flags.Add("seed", &base.seed, "repro: master seed (required)");
+  flags.Add("n", &base.n, "dataset cardinality");
+  flags.Add("order", &base.order, "Hilbert curve order");
+  flags.Add("capacity", &base.capacity, "packet capacity in bytes");
+  flags.Add("clustered", &base.clustered, "clustered (vs uniform) dataset");
+  flags.Add("m", &base.m, "DSI broadcast segments");
+  flags.Add("object-factor", &base.object_factor, "DSI objects per frame");
+  flags.Add("chunk-size", &base.chunk_size, "exponential-index chunk size");
+  flags.Add("theta", &base.theta, "link-error rate (pins)");
+  flags.Add("error-mode", &error_mode, "read, event, bucket or burst (pins)");
+  flags.Add("workers", &base.workers, "engine worker threads");
+  flags.Add("windows", &base.window_queries, "random window queries");
+  flags.Add("knn-points", &base.knn_points, "random kNN query points");
+  flags.Add("k", &base.k, "small-k value");
+  flags.Add("duplicates", &base.duplicates, "duplicate-heavy dataset");
+  flags.Add("generations", &base.generations, "broadcast generations");
+  flags.Add("updates", &base.updates_per_gen, "update ops per generation");
+  flags.Add("gen-cycles", &base.gen_cycles, "cycles per generation");
+  flags.Add("code-group", &base.code_group, "erasure-coding group (pins)");
+  flags.Add("code-parity", &base.code_parity, "parity per group (pins)");
+  flags.Add("clients", &base.trajectory_clients, "moving clients (pins)");
+  flags.Add("traj-steps", &base.trajectory_steps, "steps per client tour");
+  flags.Add("churn-rate", &base.churn_rate, "client churn rate (pins)");
+  flags.Add("num-disks", &base.num_disks, "broadcast disks (pins)");
+  flags.Add("disk-skew", &base.disk_skew, "disk popularity skew (pins)");
+  flags.Parse(argc, argv);
+  const std::vector<std::string> families = SplitFamilies(family_list);
+  for (const std::string& f : families) {
+    if (f != "dsi" && f != "rtree" && f != "hci" && f != "expindex") {
+      std::fprintf(stderr, "unknown family: %s\n", f.c_str());
+      return 2;
+    }
+  }
+  if (!ParseMode(error_mode, &base.error_mode)) {
+    std::fprintf(stderr, "unknown error mode: %s\n", error_mode.c_str());
+    return 2;
+  }
 
   // A hand-edited reproducer line must fail as usage error, not crash.
-  if (args.base.n == 0 || args.base.order < 1 || args.base.order > 16 ||
-      args.base.capacity < 32 || args.base.theta < 0.0 ||
-      args.base.theta > 1.0 || args.base.workers == 0 ||
-      args.base.generations == 0 || args.base.gen_cycles == 0 ||
-      args.base.code_group + args.base.code_parity > 64 ||
-      args.base.churn_rate < 0.0 || args.base.churn_rate > 1.0 ||
-      args.base.num_disks < 1 || args.base.num_disks > 3 ||
-      args.base.disk_skew < 0.0) {
+  if (base.n == 0 || base.order < 1 || base.order > 16 || base.capacity < 32 ||
+      base.theta < 0.0 || base.theta > 1.0 || base.workers == 0 ||
+      base.generations == 0 || base.gen_cycles == 0 ||
+      base.code_group + base.code_parity > 64 || base.churn_rate < 0.0 ||
+      base.churn_rate > 1.0 || base.num_disks < 1 || base.num_disks > 3 ||
+      base.disk_skew < 0.0) {
     std::fprintf(stderr,
                  "invalid case: need --n>=1, 1<=--order<=16, --capacity>=32, "
                  "0<=--theta<=1, --workers>=1, --generations>=1, "
@@ -290,45 +263,47 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (args.repro) {
-    if (!args.have_seed) {
+  if (repro) {
+    if (!flags.Seen("seed")) {
       std::fprintf(stderr, "--repro requires --seed\n");
       return 2;
     }
-    const ConformanceReport r =
-        RunConformanceCase(args.base, args.families);
+    const ConformanceReport r = RunConformanceCase(base, families);
     std::printf("repro seed=%llu\n",
-                static_cast<unsigned long long>(args.base.seed));
-    PrintDivergences(args.base, r);
-    return CaseFails(args.base, r) ? 1 : 0;
+                static_cast<unsigned long long>(base.seed));
+    PrintDivergences(base, r);
+    return CaseFails(base, r) ? 1 : 0;
   }
 
   size_t checked = 0;
   size_t incomplete = 0;
   size_t restarted = 0;
-  for (uint64_t seed = args.start; seed < args.start + args.seeds; ++seed) {
+  for (uint64_t seed = start; seed < start + seeds; ++seed) {
     ConformanceCase c = dsi::sim::MakeConformanceCase(seed);
-    if (args.min_generations > c.generations) {
-      c.generations = args.min_generations;
-    }
-    if (c.generations > 1 && args.min_updates > c.updates_per_gen) {
-      c.updates_per_gen = args.min_updates;
+    if (min_generations > c.generations) c.generations = min_generations;
+    if (c.generations > 1 && min_updates > c.updates_per_gen) {
+      c.updates_per_gen = min_updates;
     }
     // Pinned axes override the seed-determined values across the whole
     // sweep (dataset/query/tune-in derivation stays seed-driven).
-    if (args.have_theta) c.theta = args.base.theta;
-    if (args.have_mode) c.error_mode = args.base.error_mode;
+    if (flags.Seen("theta")) c.theta = base.theta;
+    if (flags.Seen("error-mode")) c.error_mode = base.error_mode;
     // A pinned layout axis replaces the seed-determined one; the other
     // layout axis is cleared unless it is pinned too.
-    if (args.have_coding || args.have_disks) {
-      c.code_group = args.have_coding ? args.base.code_group : 0;
-      c.code_parity = args.have_coding ? args.base.code_parity : 0;
-      c.num_disks = args.have_disks ? args.base.num_disks : 1;
-      c.disk_skew = args.have_disks ? args.base.disk_skew : 0.0;
+    const bool pin_coding =
+        flags.Seen("code-group") || flags.Seen("code-parity");
+    const bool pin_disks = flags.Seen("num-disks") || flags.Seen("disk-skew");
+    if (pin_coding || pin_disks) {
+      c.code_group = pin_coding ? base.code_group : 0;
+      c.code_parity = pin_coding ? base.code_parity : 0;
+      c.num_disks = pin_disks ? base.num_disks : 1;
+      c.disk_skew = pin_disks ? base.disk_skew : 0.0;
     }
-    if (args.have_clients) c.trajectory_clients = args.base.trajectory_clients;
-    if (args.have_churn) c.churn_rate = args.base.churn_rate;
-    const ConformanceReport r = RunConformanceCase(c, args.families);
+    if (flags.Seen("clients")) {
+      c.trajectory_clients = base.trajectory_clients;
+    }
+    if (flags.Seen("churn-rate")) c.churn_rate = base.churn_rate;
+    const ConformanceReport r = RunConformanceCase(c, families);
     checked += r.queries_checked;
     incomplete += r.incomplete;
     restarted += r.restarted;
@@ -359,18 +334,18 @@ int main(int argc, char** argv) {
                   dsi::sim::FormatReproducer(small, fam_list).c_str());
       return 1;
     }
-    if ((seed - args.start + 1) % 25 == 0) {
+    if ((seed - start + 1) % 25 == 0) {
       std::printf(
           "... %llu seeds done (%zu queries checked, %zu incomplete, "
           "%zu cross-generation restarts)\n",
-          static_cast<unsigned long long>(seed - args.start + 1), checked,
+          static_cast<unsigned long long>(seed - start + 1), checked,
           incomplete, restarted);
     }
   }
   std::printf(
       "CONFORMANT: %llu seeds, %zu queries checked against the oracle, "
       "%zu incomplete (watchdog) skipped, %zu cross-generation restarts\n",
-      static_cast<unsigned long long>(args.seeds), checked, incomplete,
+      static_cast<unsigned long long>(seeds), checked, incomplete,
       restarted);
   return 0;
 }

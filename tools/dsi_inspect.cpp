@@ -4,15 +4,11 @@
 /// anatomy: cycle composition, index overhead, table layout (with a real
 /// serialized example via the wire codecs), and the reorganization
 /// schedule. Useful to sanity-check configurations before running
-/// experiments.
-///
-/// Usage: dsi_inspect [--objects=N] [--capacity=B] [--segments=M]
-///                    [--object-factor=NO] [--base=R] [--real]
+/// experiments. Run with --help for the flags.
 
 #include <cstdio>
-#include <cstring>
-#include <string>
 
+#include "common/flags.hpp"
 #include "datasets/datasets.hpp"
 #include "dsi/index.hpp"
 #include "dsi/layout.hpp"
@@ -26,25 +22,15 @@ int main(int argc, char** argv) {
   core::DsiConfig config;
   config.num_segments = 2;
   bool real = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--objects=", 0) == 0) {
-      objects_n = std::stoul(arg.substr(10));
-    } else if (arg.rfind("--capacity=", 0) == 0) {
-      capacity = std::stoul(arg.substr(11));
-    } else if (arg.rfind("--segments=", 0) == 0) {
-      config.num_segments = static_cast<uint32_t>(std::stoul(arg.substr(11)));
-    } else if (arg.rfind("--object-factor=", 0) == 0) {
-      config.object_factor = static_cast<uint32_t>(std::stoul(arg.substr(16)));
-    } else if (arg.rfind("--base=", 0) == 0) {
-      config.index_base = static_cast<uint32_t>(std::stoul(arg.substr(7)));
-    } else if (arg == "--real") {
-      real = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return 1;
-    }
-  }
+  common::Flags flags;
+  flags.Add("objects", &objects_n, "dataset cardinality");
+  flags.Add("capacity", &capacity, "packet capacity in bytes");
+  flags.Add("segments", &config.num_segments, "broadcast segments m");
+  flags.Add("object-factor", &config.object_factor,
+            "objects per frame (0 = packet-driven)");
+  flags.Add("base", &config.index_base, "index base r");
+  flags.Add("real", &real, "use the REAL-substitute dataset");
+  flags.Parse(argc, argv, /*usage_exit=*/1);
 
   const auto objects = real ? datasets::MakeRealLike()
                             : datasets::MakeUniform(

@@ -14,6 +14,7 @@
 #include "air/dsi_handle.hpp"
 #include "broadcast/coding.hpp"
 #include "broadcast/disks.hpp"
+#include "common/flags.hpp"
 #include "air/exp_handle.hpp"
 #include "air/hci_handle.hpp"
 #include "air/rtree_handle.hpp"
@@ -25,8 +26,9 @@
 #include "sim/runner.hpp"
 #include "sim/workload.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dsi;
+  common::Flags().Parse(argc, argv);  // takes only --help
   constexpr size_t kQueries = 12;
   constexpr size_t kCapacity = 64;
 

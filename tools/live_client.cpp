@@ -14,11 +14,7 @@
 ///
 /// Exit codes: 0 ok, 1 usage, 2 no daemon reachable / handshake failed
 /// (incl. protocol-version mismatch), 3 live channel failed mid-run,
-/// 4 --verify found a divergence.
-///
-/// Usage: live_client --connect=tcp:PORT|unix:PATH
-///                    [--windows=N] [--knn=N] [--k=K] [--seed=S]
-///                    [--theta=T] [--timeout-ms=MS] [--verify] [--quiet]
+/// 4 --verify found a divergence. Run with --help for the flags.
 
 #include <algorithm>
 #include <chrono>
@@ -29,6 +25,7 @@
 
 #include "air/air_index.hpp"
 #include "broadcast/client.hpp"
+#include "common/flags.hpp"
 #include "common/geometry.hpp"
 #include "common/rng.hpp"
 #include "datasets/datasets.hpp"
@@ -135,32 +132,17 @@ int main(int argc, char** argv) {
   bool verify = false;
   bool quiet = false;
   transport::StreamTransport::Options options;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--connect=", 0) == 0) {
-      connect = arg.substr(10);
-    } else if (arg.rfind("--windows=", 0) == 0) {
-      windows = std::stoul(arg.substr(10));
-    } else if (arg.rfind("--knn=", 0) == 0) {
-      knn = std::stoul(arg.substr(6));
-    } else if (arg.rfind("--k=", 0) == 0) {
-      k = std::stoul(arg.substr(4));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::stoull(arg.substr(7));
-    } else if (arg.rfind("--theta=", 0) == 0) {
-      theta = std::stod(arg.substr(8));
-    } else if (arg.rfind("--timeout-ms=", 0) == 0) {
-      options.timeout_ms = std::stoi(arg.substr(13));
-    } else if (arg == "--verify") {
-      verify = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return 1;
-    }
-  }
+  common::Flags flags;
+  flags.Add("connect", &connect, "daemon endpoint: tcp:PORT or unix:PATH");
+  flags.Add("windows", &windows, "window queries");
+  flags.Add("knn", &knn, "kNN queries");
+  flags.Add("k", &k, "neighbours per kNN query");
+  flags.Add("seed", &seed, "query-stream seed");
+  flags.Add("theta", &theta, "per-read loss rate");
+  flags.Add("timeout-ms", &options.timeout_ms, "per connect and frame");
+  flags.Add("verify", &verify, "diff against the simulator (exit 4)");
+  flags.Add("quiet", &quiet, "print only the totals");
+  flags.Parse(argc, argv, /*usage_exit=*/1);
   if (connect.empty()) {
     std::fprintf(stderr, "live_client: --connect=tcp:PORT or unix:PATH is "
                          "required\n");

@@ -8,9 +8,7 @@
 /// The simulated byte metrics (access latency / tuning) are printed next to
 /// the throughput: they must stay bit-identical across optimization PRs and
 /// worker counts, which is what makes the queries/sec numbers comparable.
-///
-///   perf_smoke [--queries=N] [--max-objects=N] [--workers=N] [--repeats=N]
-///              [--traj-clients=N] [--out=PATH] [--append]
+/// Run with --help for the flags.
 ///
 /// JSON schema (BENCH_perf.json):
 ///   {
@@ -58,6 +56,7 @@
 #include "air/exp_handle.hpp"
 #include "air/hci_handle.hpp"
 #include "air/rtree_handle.hpp"
+#include "common/flags.hpp"
 #include "datasets/datasets.hpp"
 #include "dsi/index.hpp"
 #include "hci/hci.hpp"
@@ -86,31 +85,6 @@ struct Options {
   std::string out = "BENCH_perf.json";
   bool append = false;
 };
-
-Options ParseOptions(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--queries=", 0) == 0) {
-      opt.queries = std::stoul(arg.substr(10));
-    } else if (arg.rfind("--max-objects=", 0) == 0) {
-      opt.max_objects = std::stoul(arg.substr(14));
-    } else if (arg.rfind("--objects=", 0) == 0) {  // legacy alias
-      opt.max_objects = std::stoul(arg.substr(10));
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      opt.workers = std::stoul(arg.substr(10));
-    } else if (arg.rfind("--repeats=", 0) == 0) {
-      opt.repeats = std::stoul(arg.substr(10));
-    } else if (arg.rfind("--traj-clients=", 0) == 0) {
-      opt.traj_clients = std::stoul(arg.substr(15));
-    } else if (arg.rfind("--out=", 0) == 0) {
-      opt.out = arg.substr(6);
-    } else if (arg == "--append") {
-      opt.append = true;
-    }
-  }
-  return opt;
-}
 
 struct Result {
   std::string family;
@@ -202,7 +176,16 @@ std::string RenderRows(const std::vector<Result>& results, bool last_block) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = ParseOptions(argc, argv);
+  Options opt;
+  common::Flags flags;
+  flags.Add("queries", &opt.queries, "queries on the first ladder rung");
+  flags.Add("max-objects", &opt.max_objects, "objects ladder cap");
+  flags.Add("workers", &opt.workers, "worker threads (0 = one per core)");
+  flags.Add("repeats", &opt.repeats, "repeats per row; the best is kept");
+  flags.Add("traj-clients", &opt.traj_clients, "clients series cap (0 = off)");
+  flags.Add("out", &opt.out, "JSON output path");
+  flags.Add("append", &opt.append, "splice rows into an existing --out");
+  flags.Parse(argc, argv);
   constexpr size_t kCapacity = 64;  // fig9's mid column
   std::vector<Result> results;
 
