@@ -202,10 +202,99 @@ std::string DescribeDistDiff(const std::vector<double>& oracle,
   return os.str();
 }
 
-/// Runs one workload against one family (all generations), comparing each
-/// completed query to the oracle of the generation it answered for, and
-/// auditing the aggregate incomplete accounting against the per-query
-/// completed flags.
+/// The case's broadcast as a generational index. gen_cycles is the airtime
+/// between republications; a static case has none and airs one cycle — the
+/// static broadcast exactly.
+GenerationalIndex CaseIndex(const std::vector<const air::AirIndexHandle*>& gens,
+                            const ConformanceCase& c) {
+  GenerationalIndex gi;
+  gi.generations = gens;
+  gi.cycles.assign(gens.size(), c.generations > 1
+                                    ? std::max<uint64_t>(1, c.gen_cycles)
+                                    : 1);
+  return gi;
+}
+
+/// Per-result counts an engine's aggregate metrics are audited against.
+struct Tally {
+  size_t incomplete = 0;
+  size_t repaired = 0;
+};
+
+/// Where an audited answer sits, for divergence reports. \p label prefixes
+/// every detail: "" for one-shot queries, "warm step " / "cold step " for
+/// trajectory steps.
+struct AuditSite {
+  const std::string& family;
+  const std::string& workload;
+  size_t index;
+  const char* label;
+};
+
+/// The one per-result audit, shared by one-shot queries and both sides of
+/// every trajectory step: repairs only on a coded channel, tuning <=
+/// latency, abort bookkeeping, the generation stamp, and the brute-force
+/// oracle of the stamped generation. The query is \p window (kWindow) or
+/// the \p k nearest neighbors of \p point (kKnn).
+void AuditResult(const QueryResult& r, QueryKind kind,
+                 const common::Rect& window, const common::Point& point,
+                 size_t k, bool coded,
+                 const std::vector<std::vector<datasets::SpatialObject>>&
+                     gen_objects,
+                 const AuditSite& at, Tally* tally,
+                 ConformanceReport* report) {
+  auto diverge = [&](const std::string& detail) {
+    report->divergences.push_back(
+        Divergence{at.family, at.workload, at.index, at.label + detail});
+  };
+  tally->repaired += r.repaired;
+  // Repairs exist only on a coded channel: an uncoded run reporting one
+  // means the engine invented parity out of thin air.
+  if (!coded && r.repaired != 0) {
+    diverge("repaired=" + std::to_string(r.repaired) +
+            " on an uncoded channel");
+  }
+  // A client can never have listened longer than the whole query took:
+  // tuning <= latency must hold for EVERY answer (aborted ones included),
+  // at every theta — not just on the workload averages.
+  if (r.tuning_bytes > r.latency_bytes) {
+    std::ostringstream os;
+    os << "byte invariant violated: tuning_bytes=" << r.tuning_bytes
+       << " > latency_bytes=" << r.latency_bytes;
+    diverge(os.str());
+  }
+  if (!r.completed) {
+    ++tally->incomplete;
+    report->incomplete_queries.push_back(
+        Divergence{at.family, at.workload, at.index,
+                   std::string(at.label) + "aborted with " +
+                       std::to_string(r.ids.size()) + " result ids"});
+    return;
+  }
+  ++report->queries_checked;
+  // The oracle object set is the one live at the answer's last (re)tune-in:
+  // its recorded generation.
+  if (r.generation >= gen_objects.size()) {
+    diverge("stamped with out-of-schedule generation " +
+            std::to_string(r.generation));
+    return;
+  }
+  const std::vector<datasets::SpatialObject>& objects =
+      gen_objects[r.generation];
+  if (kind == QueryKind::kWindow) {
+    const std::vector<uint32_t> oracle = OracleWindowIds(objects, window);
+    if (oracle != r.ids) diverge(DescribeIdDiff(oracle, r.ids));
+  } else {
+    const std::vector<double> oracle = OracleKnnDistances(objects, point, k);
+    if (oracle != r.knn_distances) {
+      diverge(DescribeDistDiff(oracle, r.knn_distances));
+    }
+  }
+}
+
+/// Runs one workload against one family (all generations), auditing each
+/// query (AuditResult) and the aggregate accounting against the per-query
+/// flags.
 void CheckWorkload(const std::vector<const air::AirIndexHandle*>& gens,
                    const Workload& wl, const ConformanceCase& c,
                    const std::string& family,
@@ -220,102 +309,36 @@ void CheckWorkload(const std::vector<const air::AirIndexHandle*>& gens,
   opt.results = &results;
   opt.coding = CaseCoding(c);
   opt.disks = CaseDisks(c);
-  AvgMetrics metrics;
-  if (gens.size() == 1) {
-    metrics = RunWorkload(*gens[0], wl, opt);
-  } else {
-    GenerationalIndex gi;
-    gi.generations = gens;
-    gi.cycles.assign(gens.size(), std::max<uint64_t>(1, c.gen_cycles));
-    metrics = GenerationalRun(gi, wl, opt);
-  }
+  const AvgMetrics metrics = GenerationalRun(CaseIndex(gens, c), wl, opt);
   report->restarted += metrics.restarted;
 
-  size_t counted_incomplete = 0;
-  size_t counted_repaired = 0;
+  const bool window = wl.kind == QueryKind::kWindow;
+  Tally counted;
   for (size_t i = 0; i < results.size(); ++i) {
-    const QueryResult& r = results[i];
-    counted_repaired += r.repaired;
-    // Repairs exist only on a coded channel: an uncoded run reporting one
-    // means the engine invented parity out of thin air.
-    if (!opt.coding.enabled() && r.repaired != 0) {
-      report->divergences.push_back(
-          Divergence{family, workload_name, i,
-                     "repaired=" + std::to_string(r.repaired) +
-                         " on an uncoded channel"});
-    }
-    // A client can never have listened longer than the whole query took:
-    // tuning <= latency must hold for EVERY query (aborted ones included),
-    // at every theta — not just on the workload averages.
-    if (r.tuning_bytes > r.latency_bytes) {
-      std::ostringstream os;
-      os << "per-query byte invariant violated: tuning_bytes="
-         << r.tuning_bytes << " > latency_bytes=" << r.latency_bytes;
-      report->divergences.push_back(
-          Divergence{family, workload_name, i, os.str()});
-    }
-    if (!r.completed) {
-      ++counted_incomplete;
-      ++report->incomplete;
-      std::ostringstream os;
-      os << "aborted with " << r.ids.size() << " result ids";
-      report->incomplete_queries.push_back(
-          Divergence{family, workload_name, i, os.str()});
-      continue;
-    }
-    ++report->queries_checked;
-    // The oracle object set is the one live at the query's last
-    // (re)tune-in: its recorded generation.
-    if (r.generation >= gen_objects.size()) {
-      report->divergences.push_back(
-          Divergence{family, workload_name, i,
-                     "result stamped with out-of-schedule generation " +
-                         std::to_string(r.generation)});
-      continue;
-    }
-    const std::vector<datasets::SpatialObject>& objects =
-        gen_objects[r.generation];
-    if (wl.kind == QueryKind::kWindow) {
-      const std::vector<uint32_t> oracle =
-          OracleWindowIds(objects, wl.windows[i]);
-      if (oracle != r.ids) {
-        report->divergences.push_back(Divergence{
-            family, workload_name, i, DescribeIdDiff(oracle, r.ids)});
-      }
-    } else {
-      const std::vector<double> oracle =
-          OracleKnnDistances(objects, wl.points[i], wl.k);
-      if (oracle != r.knn_distances) {
-        report->divergences.push_back(Divergence{
-            family, workload_name, i,
-            DescribeDistDiff(oracle, r.knn_distances)});
-      }
-    }
+    AuditResult(results[i], wl.kind,
+                window ? wl.windows[i] : common::Rect{},
+                window ? common::Point{} : wl.points[i], wl.k,
+                opt.coding.enabled(), gen_objects,
+                AuditSite{family, workload_name, i, ""}, &counted, report);
   }
+  report->incomplete += counted.incomplete;
   // Exact incomplete accounting: the engine's aggregate must agree with the
   // per-query flags at EVERY theta, total loss included — silent
   // undercounting is how aborted queries masquerade as answered.
-  if (metrics.incomplete != counted_incomplete ||
+  if (metrics.incomplete != counted.incomplete ||
       metrics.queries != results.size() ||
-      metrics.repaired != counted_repaired) {
+      metrics.repaired != counted.repaired) {
     std::ostringstream os;
     os << "aggregate accounting mismatch: AvgMetrics{queries="
        << metrics.queries << ", incomplete=" << metrics.incomplete
        << ", repaired=" << metrics.repaired << "} vs results{n="
-       << results.size() << ", incomplete=" << counted_incomplete
-       << ", repaired=" << counted_repaired << "}";
+       << results.size() << ", incomplete=" << counted.incomplete
+       << ", repaired=" << counted.repaired << "}";
     // Sentinel index one past the workload: this is a whole-run accounting
     // failure, not a defect of any individual query's result set.
     report->divergences.push_back(
         Divergence{family, workload_name, results.size(), os.str()});
   }
-}
-
-bool SameQueryResult(const QueryResult& a, const QueryResult& b) {
-  return a.ids == b.ids && a.knn_distances == b.knn_distances &&
-         a.completed == b.completed && a.generation == b.generation &&
-         a.restarts == b.restarts && a.latency_bytes == b.latency_bytes &&
-         a.tuning_bytes == b.tuning_bytes && a.repaired == b.repaired;
 }
 
 /// Bit-exact loop-vs-scheduler differential: the two simulation cores ran
@@ -330,18 +353,7 @@ void CheckEngineParity(const TrajectoryMetrics& loop,
                        const std::string& family,
                        const std::string& workload_name,
                        ConformanceReport* report) {
-  if (loop.latency_bytes != sched.latency_bytes ||
-      loop.tuning_bytes != sched.tuning_bytes ||
-      loop.cold_latency_bytes != sched.cold_latency_bytes ||
-      loop.cold_tuning_bytes != sched.cold_tuning_bytes ||
-      loop.clients != sched.clients || loop.steps != sched.steps ||
-      loop.incomplete != sched.incomplete ||
-      loop.restarted != sched.restarted ||
-      loop.cold_incomplete != sched.cold_incomplete ||
-      loop.repaired != sched.repaired ||
-      loop.cold_repaired != sched.cold_repaired ||
-      loop.departed != sched.departed ||
-      loop.skipped_steps != sched.skipped_steps) {
+  if (loop != sched) {
     std::ostringstream os;
     os << "engine parity: scheduler metrics deviate from the loop oracle:"
        << " steps " << loop.steps << "/" << sched.steps << ", latency "
@@ -368,8 +380,7 @@ void CheckEngineParity(const TrajectoryMetrics& loop,
     for (size_t s = 0; s < loop_r[cl].size(); ++s) {
       const TrajectoryStep& a = loop_r[cl][s];
       const TrajectoryStep& b = sched_r[cl][s];
-      if (a.ran != b.ran || !SameQueryResult(a.warm, b.warm) ||
-          !SameQueryResult(a.cold, b.cold)) {
+      if (a != b) {
         std::ostringstream os;
         os << "engine parity: client " << cl << " step " << s
            << " differs between loop and scheduler (ran " << a.ran << "/"
@@ -451,28 +462,17 @@ void CheckTrajectories(const std::vector<const air::AirIndexHandle*>& gens,
   TrajectoryOptions sched_opt = opt;
   sched_opt.results = &sched_results;
   sched_opt.engine = TrajectoryEngine::kScheduler;
-  TrajectoryMetrics m;
-  TrajectoryMetrics sched_m;
-  if (gens.size() == 1) {
-    m = RunTrajectories(*gens[0], wl, opt);
-    sched_m = RunTrajectories(*gens[0], wl, sched_opt);
-  } else {
-    GenerationalIndex gi;
-    gi.generations = gens;
-    gi.cycles.assign(gens.size(), std::max<uint64_t>(1, c.gen_cycles));
-    m = RunTrajectories(gi, wl, opt);
-    sched_m = RunTrajectories(gi, wl, sched_opt);
-  }
+  const GenerationalIndex gi = CaseIndex(gens, c);
+  const TrajectoryMetrics m = RunTrajectories(gi, wl, opt);
+  const TrajectoryMetrics sched_m = RunTrajectories(gi, wl, sched_opt);
   report->restarted += m.restarted;
   CheckEngineParity(m, sched_m, results, sched_results, family,
                     workload_name, report);
 
-  size_t counted_incomplete = 0;
-  size_t counted_cold_incomplete = 0;
+  Tally warm;
+  Tally cold;
   size_t counted_steps = 0;
   size_t counted_skipped = 0;
-  size_t counted_repaired = 0;
-  size_t counted_cold_repaired = 0;
   for (size_t cl = 0; cl < results.size(); ++cl) {
     for (size_t s = 0; s < results[cl].size(); ++s) {
       const TrajectoryStep& step = results[cl][s];
@@ -491,70 +491,17 @@ void CheckTrajectories(const std::vector<const air::AirIndexHandle*>& gens,
         continue;
       }
       ++counted_steps;
-      counted_repaired += step.warm.repaired;
-      counted_cold_repaired += step.cold.repaired;
-      if (!opt.coding.enabled() &&
-          (step.warm.repaired != 0 || step.cold.repaired != 0)) {
-        report->divergences.push_back(
-            Divergence{family, workload_name, index,
-                       "repaired step counters on an uncoded channel"});
-      }
-      // Both paths go through the full per-result audit: byte invariant,
-      // generation stamp, oracle of the stamped generation.
-      struct Side {
-        const QueryResult* r;
-        const char* label;
-      };
-      for (const Side side : {Side{&step.warm, "warm"},
-                              Side{&step.cold, "cold"}}) {
-        const QueryResult& r = *side.r;
-        if (r.tuning_bytes > r.latency_bytes) {
-          std::ostringstream os;
-          os << side.label << " step byte invariant violated: tuning_bytes="
-             << r.tuning_bytes << " > latency_bytes=" << r.latency_bytes;
-          report->divergences.push_back(
-              Divergence{family, workload_name, index, os.str()});
-        }
-        if (!r.completed) {
-          if (side.r == &step.warm) ++counted_incomplete;
-          else ++counted_cold_incomplete;
-          std::ostringstream os;
-          os << side.label << " step aborted with " << r.ids.size()
-             << " result ids";
-          report->incomplete_queries.push_back(
-              Divergence{family, workload_name, index, os.str()});
-          continue;
-        }
-        ++report->queries_checked;
-        if (r.generation >= gen_objects.size()) {
-          report->divergences.push_back(Divergence{
-              family, workload_name, index,
-              std::string(side.label) +
-                  " step stamped with out-of-schedule generation " +
-                  std::to_string(r.generation)});
-          continue;
-        }
-        const auto& objects = gen_objects[r.generation];
-        if (kind == QueryKind::kWindow) {
-          const std::vector<uint32_t> oracle =
-              OracleWindowIds(objects, wl.WindowAt(cl, s));
-          if (oracle != r.ids) {
-            report->divergences.push_back(
-                Divergence{family, workload_name, index,
-                           std::string(side.label) + " " +
-                               DescribeIdDiff(oracle, r.ids)});
-          }
-        } else {
-          const std::vector<double> oracle =
-              OracleKnnDistances(objects, wl.clients[cl][s], wl.k);
-          if (oracle != r.knn_distances) {
-            report->divergences.push_back(
-                Divergence{family, workload_name, index,
-                           std::string(side.label) + " " +
-                               DescribeDistDiff(oracle, r.knn_distances)});
-          }
-        }
-      }
+      // Both sides go through the full per-result audit.
+      const common::Rect window = wl.WindowAt(cl, s);
+      const common::Point& point = wl.clients[cl][s];
+      AuditResult(step.warm, kind, window, point, wl.k, opt.coding.enabled(),
+                  gen_objects,
+                  AuditSite{family, workload_name, index, "warm step "},
+                  &warm, report);
+      AuditResult(step.cold, kind, window, point, wl.k, opt.coding.enabled(),
+                  gen_objects,
+                  AuditSite{family, workload_name, index, "cold step "},
+                  &cold, report);
       // Warm/cold parity proper: same query, same instant, same channel —
       // a persistent client's learned knowledge must never change the
       // answer. (When the two straddled a republication differently each
@@ -581,10 +528,9 @@ void CheckTrajectories(const std::vector<const air::AirIndexHandle*>& gens,
   // Exact churn accounting rides along: ran + skipped covers the workload
   // with nothing lost, a churn-free case never skips or departs, and the
   // departed count can never exceed the population.
-  if (m.incomplete != counted_incomplete ||
-      m.cold_incomplete != counted_cold_incomplete ||
-      m.steps != counted_steps || m.repaired != counted_repaired ||
-      m.cold_repaired != counted_cold_repaired ||
+  if (m.incomplete != warm.incomplete ||
+      m.cold_incomplete != cold.incomplete || m.steps != counted_steps ||
+      m.repaired != warm.repaired || m.cold_repaired != cold.repaired ||
       m.skipped_steps != counted_skipped ||
       m.steps + m.skipped_steps != wl.num_steps() ||
       m.departed > wl.clients.size() ||
@@ -597,10 +543,10 @@ void CheckTrajectories(const std::vector<const air::AirIndexHandle*>& gens,
        << ", cold_repaired=" << m.cold_repaired
        << ", departed=" << m.departed
        << ", skipped=" << m.skipped_steps << "} vs results{steps="
-       << counted_steps << ", incomplete=" << counted_incomplete
-       << ", cold_incomplete=" << counted_cold_incomplete
-       << ", repaired=" << counted_repaired
-       << ", cold_repaired=" << counted_cold_repaired
+       << counted_steps << ", incomplete=" << warm.incomplete
+       << ", cold_incomplete=" << cold.incomplete
+       << ", repaired=" << warm.repaired
+       << ", cold_repaired=" << cold.repaired
        << ", skipped=" << counted_skipped
        << ", workload=" << wl.num_steps() << "}";
     report->divergences.push_back(

@@ -13,6 +13,12 @@
 /// forked per query INDEX (not per iteration order), and metrics accumulate
 /// in exact integer sums, so the averaged results are bit-identical for any
 /// worker count and fully determined by (workload, seed).
+///
+/// There is one query path. GenerationalRun airs a schedule of republished
+/// generations; RunWorkload is GenerationalRun over the one-generation
+/// schedule ({&index}, {1}) — a static broadcast is one generation airing
+/// one cycle, so tune-ins are uniform over that cycle and no query ever
+/// restarts.
 
 #include <cstddef>
 #include <cstdint>
@@ -52,6 +58,9 @@ struct QueryResult {
   /// Lost bucket reads this query recovered from parity instead of a
   /// next-cycle retry (coded broadcasts only; always 0 uncoded).
   uint64_t repaired = 0;
+
+  /// Field-by-field, exact: engine parity checks compare whole results.
+  bool operator==(const QueryResult&) const = default;
 };
 
 /// Averaged byte metrics over a workload.
@@ -68,6 +77,10 @@ struct AvgMetrics {
   /// audited by the conformance oracle: equals the sum of the per-query
   /// QueryResult::repaired counters, and is 0 when coding is disabled.
   size_t repaired = 0;
+
+  /// Field-by-field with exact doubles: the averages of equal integer sums
+  /// are equal doubles, so worker-count parity is plain equality.
+  bool operator==(const AvgMetrics&) const = default;
 
   /// Relative deterioration of this run versus a lossless baseline, in
   /// percent (Table 1's quantity).
@@ -105,11 +118,14 @@ struct RunOptions {
   /// Queries are independent clients with index-forked randomness, so this
   /// is a pure reordering: metrics and results are bit-identical to the
   /// default path for any worker count (tests/scheduler_test.cpp).
+  /// Kept although redundant: the benchmark reports it (sim.scheduled_qps.*
+  /// in perfbench/src/layers.cpp), so removing it is a benchmark change.
   bool scheduled = false;
 };
 
 /// Runs every query of \p workload against \p index and averages the
-/// session metrics. Returns a zeroed AvgMetrics for an empty workload or an
+/// session metrics: GenerationalRun over the one-generation schedule
+/// ({&index}, {1}). Returns a zeroed AvgMetrics for an empty workload or an
 /// empty broadcast program (nothing on air to tune into).
 AvgMetrics RunWorkload(const air::AirIndexHandle& index,
                        const Workload& workload,
@@ -140,20 +156,5 @@ struct GenerationalIndex {
 AvgMetrics GenerationalRun(const GenerationalIndex& index,
                            const Workload& workload,
                            const RunOptions& options = {});
-
-namespace detail {
-
-/// Captures one answered query into \p out: ids sorted, kNN distance
-/// multiset from \p query_point (ignored for windows), flags and byte
-/// metrics. The ONE result-capture routine, shared by RunWorkload,
-/// GenerationalRun and RunTrajectories — the conformance oracles compare
-/// these fields, so the capture rules must be identical everywhere.
-void CaptureResult(QueryKind kind, const common::Point& query_point,
-                   const std::vector<datasets::SpatialObject>& answer,
-                   bool completed, uint64_t generation, size_t restarts,
-                   uint64_t latency_bytes, uint64_t tuning_bytes,
-                   uint64_t repaired, QueryResult* out);
-
-}  // namespace detail
 
 }  // namespace dsi::sim

@@ -4,11 +4,10 @@
 #include <cassert>
 #include <memory>
 #include <optional>
-#include <thread>
 
-#include "air/disk_layout.hpp"
 #include "broadcast/generation.hpp"
 #include "common/rng.hpp"
+#include "sim/engine.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/seed_mix.hpp"
 #include "sim/worker_pool.hpp"
@@ -36,6 +35,22 @@ struct TourSums {
   size_t cold_repaired = 0;
   size_t departed = 0;
   size_t skipped_steps = 0;
+
+  TourSums& operator+=(const TourSums& o) {
+    latency_bytes += o.latency_bytes;
+    tuning_bytes += o.tuning_bytes;
+    cold_latency_bytes += o.cold_latency_bytes;
+    cold_tuning_bytes += o.cold_tuning_bytes;
+    steps += o.steps;
+    incomplete += o.incomplete;
+    restarted += o.restarted;
+    cold_incomplete += o.cold_incomplete;
+    repaired += o.repaired;
+    cold_repaired += o.cold_repaired;
+    departed += o.departed;
+    skipped_steps += o.skipped_steps;
+    return *this;
+  }
 };
 
 /// Runs the step query of client \p c at step \p s on \p client.
@@ -49,8 +64,9 @@ std::vector<datasets::SpatialObject> RunStepQuery(
 }
 
 /// The cold baseline for one step: a fresh session over the same channel
-/// tuning in at \p tune_in, a fresh client per generation it straddles —
-/// exactly what sim::GenerationalRun pays for a one-shot query.
+/// tuning in at \p tune_in, answering through the one-shot engine's fresh
+/// client loop (detail::RunFresh) — exactly what sim::GenerationalRun pays
+/// for the same query at the same instant.
 void RunColdStep(const std::vector<const air::AirIndexHandle*>& gens,
                  const TrajectoryWorkload& wl, size_t c, size_t s,
                  const broadcast::ClientSession& warm_session,
@@ -61,33 +77,20 @@ void RunColdStep(const std::vector<const air::AirIndexHandle*>& gens,
       MixSeed(MixSeed(options.seed ^ kColdSalt, c), s));
   broadcast::ClientSession session =
       warm_session.ForkColdSession(tune_in, cold_rng.Fork());
-  session.InitialProbe();
-  std::vector<datasets::SpatialObject> answer;
-  bool completed = true;
-  size_t restarts = 0;
-  while (true) {
-    const uint64_t gen = session.generation();
-    air::AirClient* client = gens[gen]->MakeClientIn(arena, &session);
-    answer = RunStepQuery(*client, wl, c, s);
-    const air::ClientStats st = client->stats();
-    if (st.stale) {
-      assert(session.generation() > gen);
-      ++restarts;
-      continue;
-    }
-    completed = st.completed;
-    break;
-  }
+  const detail::FreshAnswer answer = detail::RunFresh(
+      gens, session, arena, [&](air::AirClient& client) {
+        return RunStepQuery(client, wl, c, s);
+      });
   const broadcast::Metrics m = session.metrics();
   sums->cold_latency_bytes += m.access_latency_bytes;
   sums->cold_tuning_bytes += m.tuning_bytes;
   sums->cold_repaired += m.repaired;
-  if (!completed) ++sums->cold_incomplete;
+  if (!answer.completed) ++sums->cold_incomplete;
   if (result_out != nullptr) {
-    detail::CaptureResult(wl.kind, wl.clients[c][s], answer, completed,
-                          session.generation(), restarts,
-                          m.access_latency_bytes, m.tuning_bytes, m.repaired,
-                          result_out);
+    detail::CaptureResult(wl.kind, wl.clients[c][s], answer.objects,
+                          answer.completed, session.generation(),
+                          answer.restarts, m.access_latency_bytes,
+                          m.tuning_bytes, m.repaired, result_out);
   }
 }
 
@@ -262,20 +265,22 @@ class Tour {
 };
 
 /// The loop engine's shard body: whole clients, one after another.
-void RunLoopShard(const std::vector<const air::AirIndexHandle*>& gens,
-                  const broadcast::GenerationSchedule& schedule,
-                  const TrajectoryWorkload& wl,
-                  const TrajectoryOptions& options, size_t begin, size_t end,
-                  TourSums* sums) {
+TourSums RunLoopShard(const std::vector<const air::AirIndexHandle*>& gens,
+                      const broadcast::GenerationSchedule& schedule,
+                      const TrajectoryWorkload& wl,
+                      const TrajectoryOptions& options, size_t begin,
+                      size_t end) {
   // One arena per pool thread for the cold baselines; the warm client owns
   // its storage for the whole tour (it must survive every cold build).
   thread_local air::ClientArena cold_arena;
+  TourSums sums;
   for (size_t c = begin; c < end; ++c) {
     if (wl.clients[c].empty()) continue;
-    Tour tour(gens, schedule, wl, options, c, sums,
+    Tour tour(gens, schedule, wl, options, c, &sums,
               options.results != nullptr ? &(*options.results)[c] : nullptr);
     tour.Run(/*yielding=*/false, cold_arena, nullptr);
   }
+  return sums;
 }
 
 /// The scheduler engine's shard body: channel-drives-clients. One calendar
@@ -283,12 +288,12 @@ void RunLoopShard(const std::vector<const air::AirIndexHandle*>& gens,
 /// slot pool maps the churning population onto dense recycled storage.
 /// Per-client hot state is SoA: the wake itself lives in the calendar, the
 /// client→slot binding and the Tour slots below are parallel arrays.
-void RunSchedulerShard(const std::vector<const air::AirIndexHandle*>& gens,
-                       const broadcast::GenerationSchedule& schedule,
-                       const TrajectoryWorkload& wl,
-                       const TrajectoryOptions& options, size_t begin,
-                       size_t end, TourSums* sums) {
+TourSums RunSchedulerShard(
+    const std::vector<const air::AirIndexHandle*>& gens,
+    const broadcast::GenerationSchedule& schedule, const TrajectoryWorkload& wl,
+    const TrajectoryOptions& options, size_t begin, size_t end) {
   thread_local air::ClientArena cold_arena;
+  TourSums sums;
   constexpr uint32_t kNoSlot = UINT32_MAX;
   // Calendar day width: the typical inter-wake gap is the think time; an
   // unpaced population only ever schedules arrivals, spread over the
@@ -333,7 +338,7 @@ void RunSchedulerShard(const std::vector<const air::AirIndexHandle*>& gens,
       slot = pool.Acquire();
       if (slot >= tours.size()) tours.resize(slot + 1);
       tours[slot] = std::make_unique<Tour>(
-          gens, schedule, wl, options, c, sums,
+          gens, schedule, wl, options, c, &sums,
           options.results != nullptr ? &(*options.results)[c] : nullptr);
       sleeping = tours[slot]->Run(/*yielding=*/true, cold_arena, &next_wake);
     } else {
@@ -350,6 +355,7 @@ void RunSchedulerShard(const std::vector<const air::AirIndexHandle*>& gens,
       slot = kNoSlot;
     }
   }
+  return sums;
 }
 
 TrajectoryMetrics RunTrajectoriesImpl(
@@ -357,7 +363,6 @@ TrajectoryMetrics RunTrajectoriesImpl(
     const std::vector<uint64_t>& cycles, const TrajectoryWorkload& wl,
     const TrajectoryOptions& options) {
   assert(!gens.empty());
-  assert(cycles.size() == gens.size());
   assert(wl.churn.empty() || wl.churn.size() == wl.clients.size());
   const size_t num_clients = wl.clients.size();
   TrajectoryMetrics avg;
@@ -367,65 +372,21 @@ TrajectoryMetrics RunTrajectoriesImpl(
       (*options.results)[c].assign(wl.clients[c].size(), TrajectoryStep{});
     }
   }
-  for (const air::AirIndexHandle* handle : gens) {
-    if (handle->program().cycle_packets() == 0) return avg;
-  }
   if (num_clients == 0 || wl.num_steps() == 0) return avg;
 
-  // Same per-generation re-layout as sim::GenerationalRun: each
-  // generation's cycle is re-laid-out independently and its parity groups /
-  // disk schedule die with it.
-  std::vector<std::optional<broadcast::BroadcastProgram>> relaid;
-  for (const air::AirIndexHandle* handle : gens) {
-    relaid.push_back(air::OnAirProgram(*handle, options.disks, options.coding));
-  }
-  broadcast::GenerationSchedule schedule;
-  for (size_t g = 0; g < gens.size(); ++g) {
-    schedule.Append(relaid[g] ? &*relaid[g] : &gens[g]->program(), cycles[g]);
-  }
+  // The same on-air schedule as sim::GenerationalRun: each generation
+  // re-laid-out independently, parity groups / disk schedule dying with it.
+  const detail::OnAirSchedule on_air(gens, cycles, options.disks,
+                                     options.coding);
+  if (!on_air.airs()) return avg;
+  const broadcast::GenerationSchedule& schedule = on_air.schedule();
 
-  size_t workers =
-      options.workers != 0
-          ? options.workers
-          : std::max<size_t>(1, std::thread::hardware_concurrency());
-  workers = std::min(workers, num_clients);
-
-  auto run_shard = [&](size_t begin, size_t end, TourSums* sums) {
-    if (options.engine == TrajectoryEngine::kScheduler) {
-      RunSchedulerShard(gens, schedule, wl, options, begin, end, sums);
-    } else {
-      RunLoopShard(gens, schedule, wl, options, begin, end, sums);
-    }
-  };
-
-  TourSums total;
-  if (workers <= 1) {
-    run_shard(0, num_clients, &total);
-  } else {
-    // Shard boundaries depend only on (num_clients, workers); every tour's
-    // randomness is forked by client index, so any worker count reproduces
-    // the serial run exactly.
-    std::vector<TourSums> shard_sums(workers);
-    WorkerPool::Instance().Run(workers, [&](size_t w) {
-      const size_t begin = num_clients * w / workers;
-      const size_t end = num_clients * (w + 1) / workers;
-      run_shard(begin, end, &shard_sums[w]);
-    });
-    for (const TourSums& s : shard_sums) {
-      total.latency_bytes += s.latency_bytes;
-      total.tuning_bytes += s.tuning_bytes;
-      total.cold_latency_bytes += s.cold_latency_bytes;
-      total.cold_tuning_bytes += s.cold_tuning_bytes;
-      total.steps += s.steps;
-      total.incomplete += s.incomplete;
-      total.restarted += s.restarted;
-      total.cold_incomplete += s.cold_incomplete;
-      total.repaired += s.repaired;
-      total.cold_repaired += s.cold_repaired;
-      total.departed += s.departed;
-      total.skipped_steps += s.skipped_steps;
-    }
-  }
+  const TourSums total = RunSharded<TourSums>(
+      num_clients, options.workers, [&](size_t begin, size_t end) {
+        return options.engine == TrajectoryEngine::kScheduler
+                   ? RunSchedulerShard(gens, schedule, wl, options, begin, end)
+                   : RunLoopShard(gens, schedule, wl, options, begin, end);
+      });
 
   avg.clients = num_clients;
   avg.steps = total.steps;

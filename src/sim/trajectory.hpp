@@ -113,6 +113,8 @@ struct TrajectoryStep {
   /// client departed before reaching (or never arrived for) — such entries
   /// keep their default-constructed results and carry no cost.
   bool ran = false;
+
+  bool operator==(const TrajectoryStep&) const = default;
 };
 
 /// Aggregate continuous-query metrics, averaged per re-evaluation.
@@ -138,6 +140,9 @@ struct TrajectoryMetrics {
   size_t departed = 0;
   size_t skipped_steps = 0;
 
+  /// Field-by-field with exact doubles (engine and worker-count parity).
+  bool operator==(const TrajectoryMetrics&) const = default;
+
   /// Headline reuse metric: share of the cold tuning cost the warm client
   /// did not have to pay (percent).
   double TuningSavingsPct() const {
@@ -159,6 +164,8 @@ enum class TrajectoryEngine : uint8_t {
   /// Client-drives-channel: walk whole clients one after another, each
   /// spinning the shared timeline in its own call stack. The oracle path —
   /// simple, obviously correct, O(N) live call frames; right at small N.
+  /// Kept as the reference the scheduler is diffed against (conformance
+  /// CheckEngineParity, tests/scheduler_test.cpp).
   kLoop,
   /// Channel-drives-clients: one event scheduler per worker shard advances
   /// the broadcast timeline and wakes only the clients whose next-wake

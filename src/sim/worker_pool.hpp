@@ -10,8 +10,11 @@
 /// it computes — tasks are identified by index and the caller combines
 /// results by index, so results are independent of scheduling.
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <thread>
+#include <vector>
 
 namespace dsi::sim {
 
@@ -37,5 +40,27 @@ class WorkerPool {
   struct Impl;
   Impl* impl_;
 };
+
+/// The engines' one sharded run: resolves \p workers (0 = one per hardware
+/// thread), clamps it to \p n, cuts [0, n) into contiguous shards, runs
+/// `shard(begin, end) -> Sums` for each on the pool and merges the shard
+/// sums in shard order with Sums::operator+=. Shard bounds depend only on
+/// (n, workers); with randomness forked per item index and exact integer
+/// sums, any worker count reproduces the serial result bit-identically.
+template <typename Sums, typename Shard>
+Sums RunSharded(size_t n, size_t workers, Shard&& shard) {
+  if (workers == 0) {
+    workers = std::max<size_t>(1, std::thread::hardware_concurrency());
+  }
+  workers = std::min(workers, n);
+  if (workers <= 1) return shard(0, n);
+  std::vector<Sums> sums(workers);
+  WorkerPool::Instance().Run(workers, [&](size_t w) {
+    sums[w] = shard(n * w / workers, n * (w + 1) / workers);
+  });
+  Sums total;
+  for (const Sums& s : sums) total += s;
+  return total;
+}
 
 }  // namespace dsi::sim

@@ -1,12 +1,14 @@
 /// Serial/parallel parity of the experiment engine: RunWorkload shards
 /// queries across workers but forks randomness per query index and merges
 /// exact integer metric sums, so N workers must reproduce 1 worker
-/// bit-identically — for every index family and both query kinds, lossless
-/// and lossy.
+/// bit-identically — for every index family and both query kinds, lossless,
+/// lossy, coded and generational. Parity is whole-struct equality of
+/// AvgMetrics and QueryResult, so every counter is compared.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -76,16 +78,20 @@ class ParallelParityFixture : public ::testing::Test {
     return {&dsi_air_, &rtree_air_, &hci_air_, &exp_air_};
   }
 
-  static void ExpectIdentical(const sim::AvgMetrics& serial,
-                              const sim::AvgMetrics& parallel,
-                              std::string_view family, const char* kind) {
-    EXPECT_DOUBLE_EQ(serial.latency_bytes, parallel.latency_bytes)
-        << family << " " << kind;
-    EXPECT_DOUBLE_EQ(serial.tuning_bytes, parallel.tuning_bytes)
-        << family << " " << kind;
-    EXPECT_EQ(serial.queries, parallel.queries) << family << " " << kind;
-    EXPECT_EQ(serial.incomplete, parallel.incomplete)
-        << family << " " << kind;
+  /// Runs \p run (a run that fills per-query results) serially and at 3
+  /// and 4 workers: the metrics and every per-query result must be equal.
+  /// Returns the serial metrics.
+  template <typename Run>
+  static sim::AvgMetrics ExpectShardingParity(const Run& run,
+                                              std::string_view label) {
+    std::vector<sim::QueryResult> baseline;
+    const sim::AvgMetrics serial = run(1, &baseline);
+    for (const size_t workers : {3u, 4u}) {
+      std::vector<sim::QueryResult> got;
+      EXPECT_EQ(run(workers, &got), serial) << label << " workers " << workers;
+      EXPECT_EQ(got, baseline) << label << " workers " << workers;
+    }
+    return serial;
   }
 
   hilbert::SpaceMapper mapper_;
@@ -109,7 +115,7 @@ TEST_F(ParallelParityFixture, WindowParityAcrossFamilies) {
     const auto parallel =
         sim::RunWorkload(*handle, workload, sim::RunOptions{101, 4});
     EXPECT_EQ(serial.queries, windows.size());
-    ExpectIdentical(serial, parallel, handle->family(), "window");
+    EXPECT_EQ(serial, parallel) << handle->family() << " window";
   }
 }
 
@@ -122,7 +128,7 @@ TEST_F(ParallelParityFixture, KnnParityAcrossFamilies) {
     const auto parallel =
         sim::RunWorkload(*handle, workload, sim::RunOptions{103, 3});
     EXPECT_EQ(serial.queries, points.size());
-    ExpectIdentical(serial, parallel, handle->family(), "knn");
+    EXPECT_EQ(serial, parallel) << handle->family() << " knn";
   }
 }
 
@@ -139,7 +145,7 @@ TEST_F(ParallelParityFixture, LossyChannelParity) {
           sim::RunWorkload(*handle, workload, sim::RunOptions{107, 1});
       const auto parallel =
           sim::RunWorkload(*handle, workload, sim::RunOptions{107, 8});
-      ExpectIdentical(serial, parallel, handle->family(), "lossy window");
+      EXPECT_EQ(serial, parallel) << handle->family() << " lossy window";
     }
   }
 }
@@ -167,8 +173,7 @@ TEST_F(ParallelParityFixture, CodingAndDisksTogetherAirTheComposedCycle) {
       const auto engine = sim::RunWorkload(*handle, workload, both);
       const auto direct =
           sim::RunWorkload(composed, workload, sim::RunOptions{117, 2});
-      ExpectIdentical(engine, direct, handle->family(), "coded disks");
-      EXPECT_EQ(engine.repaired, direct.repaired) << handle->family();
+      EXPECT_EQ(engine, direct) << handle->family() << " coded disks";
       if (theta > 0.0) EXPECT_GT(engine.repaired, 0u) << handle->family();
     }
   }
@@ -184,7 +189,7 @@ TEST_F(ParallelParityFixture, WorkerCountDoesNotLeakIntoSeeds) {
   for (const size_t workers : {2u, 3u, 5u, 10u}) {
     const auto sharded =
         sim::RunWorkload(dsi_air_, workload, sim::RunOptions{109, workers});
-    ExpectIdentical(baseline, sharded, "dsi", "worker sweep");
+    EXPECT_EQ(baseline, sharded) << "dsi worker sweep " << workers;
   }
 }
 
@@ -201,7 +206,7 @@ TEST_F(ParallelParityFixture, PersistentPoolIsStableAcrossRepeatedRuns) {
     for (const size_t workers : {4u, 2u, 7u}) {
       const auto pooled = sim::RunWorkload(dsi_air_, workload,
                                            sim::RunOptions{113, workers});
-      ExpectIdentical(baseline, pooled, "dsi", "pool reuse");
+      EXPECT_EQ(baseline, pooled) << "dsi pool reuse " << workers;
     }
   }
 }
@@ -260,7 +265,9 @@ TEST_F(ParallelParityFixture, ArenaClientsMatchHeapClients) {
 
 TEST_F(ParallelParityFixture, ResultCaptureParityAcrossSharding) {
   // RunOptions::results entries are keyed by query index, so any worker
-  // count must fill identical result sets, lossless and lossy.
+  // count must fill identical result sets and identical metrics: lossless,
+  // lossy, coded under burst loss (nonzero repairs) and across two
+  // generations (nonzero restarts).
   const auto windows =
       sim::MakeWindowWorkload(9, 0.12, datasets::UnitUniverse(), 51);
   const auto points = sim::MakeKnnWorkload(9, datasets::UnitUniverse(), 53);
@@ -271,33 +278,53 @@ TEST_F(ParallelParityFixture, ResultCaptureParityAcrossSharding) {
       sim::Workload::Knn(points, 5, air::KnnStrategy::kConservative, 0.4,
                          broadcast::ErrorMode::kPerBucketLoss),
   };
+  const auto burst =
+      sim::Workload::Window(windows, 0.4, broadcast::ErrorMode::kBurstLoss);
   for (const air::AirIndexHandle* handle : Handles()) {
     for (const sim::Workload& workload : workloads) {
-      std::vector<sim::QueryResult> baseline;
-      sim::RunOptions base_opt;
-      base_opt.seed = 211;
-      base_opt.workers = 1;
-      base_opt.results = &baseline;
-      (void)sim::RunWorkload(*handle, workload, base_opt);
-      ASSERT_EQ(baseline.size(), workload.size());
-
-      for (const size_t workers : {1u, 4u}) {
-        std::vector<sim::QueryResult> got;
-        sim::RunOptions opt;
-        opt.seed = 211;
-        opt.workers = workers;
-        opt.results = &got;
-        (void)sim::RunWorkload(*handle, workload, opt);
-        ASSERT_EQ(got.size(), baseline.size());
-        for (size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].ids, baseline[i].ids)
-              << handle->family() << " query " << i << " workers " << workers;
-          EXPECT_EQ(got[i].knn_distances, baseline[i].knn_distances)
-              << handle->family() << " query " << i;
-          EXPECT_EQ(got[i].completed, baseline[i].completed);
-        }
-      }
+      const auto m = ExpectShardingParity(
+          [&](size_t workers, std::vector<sim::QueryResult>* results) {
+            sim::RunOptions opt{211, workers};
+            opt.results = results;
+            return sim::RunWorkload(*handle, workload, opt);
+          },
+          handle->family());
+      EXPECT_EQ(m.queries, workload.size());
     }
+    const auto coded = ExpectShardingParity(
+        [&](size_t workers, std::vector<sim::QueryResult>* results) {
+          sim::RunOptions opt{223, workers};
+          opt.results = results;
+          opt.coding = broadcast::CodingConfig{2, 1};
+          return sim::RunWorkload(*handle, burst, opt);
+        },
+        std::string(handle->family()) + " coded");
+    EXPECT_GT(coded.repaired, 0u) << handle->family();
+  }
+
+  // A republication one cycle in: queries straddling it restart on the
+  // second generation's handle.
+  const auto ops =
+      datasets::MakeUpdateStream(objects_, 30, datasets::UnitUniverse(), 57);
+  const core::DsiIndex dsi1(core::DsiIndex::Republish(dsi_, ops));
+  const rtree::RtreeIndex rtree1(datasets::ApplyUpdates(objects_, ops), 64);
+  const air::DsiHandle dsi1_air(dsi1);
+  const air::RtreeHandle rtree1_air(rtree1);
+  const sim::GenerationalIndex generational[] = {
+      {{&dsi_air_, &dsi1_air}, {1, 1}},
+      {{&rtree_air_, &rtree1_air}, {1, 1}},
+  };
+  for (const sim::GenerationalIndex& gi : generational) {
+    const std::string label =
+        std::string(gi.generations[0]->family()) + " generational";
+    const auto m = ExpectShardingParity(
+        [&](size_t workers, std::vector<sim::QueryResult>* results) {
+          sim::RunOptions opt{229, workers};
+          opt.results = results;
+          return sim::GenerationalRun(gi, burst, opt);
+        },
+        label);
+    EXPECT_GT(m.restarted, 0u) << label;
   }
 }
 

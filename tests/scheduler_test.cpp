@@ -151,39 +151,6 @@ class EngineEquivalence : public ::testing::Test {
     return wl;
   }
 
-  static void ExpectSameMetrics(const sim::TrajectoryMetrics& loop,
-                                const sim::TrajectoryMetrics& sched,
-                                const std::string& label) {
-    EXPECT_DOUBLE_EQ(loop.latency_bytes, sched.latency_bytes) << label;
-    EXPECT_DOUBLE_EQ(loop.tuning_bytes, sched.tuning_bytes) << label;
-    EXPECT_DOUBLE_EQ(loop.cold_latency_bytes, sched.cold_latency_bytes)
-        << label;
-    EXPECT_DOUBLE_EQ(loop.cold_tuning_bytes, sched.cold_tuning_bytes)
-        << label;
-    EXPECT_EQ(loop.clients, sched.clients) << label;
-    EXPECT_EQ(loop.steps, sched.steps) << label;
-    EXPECT_EQ(loop.incomplete, sched.incomplete) << label;
-    EXPECT_EQ(loop.restarted, sched.restarted) << label;
-    EXPECT_EQ(loop.cold_incomplete, sched.cold_incomplete) << label;
-    EXPECT_EQ(loop.repaired, sched.repaired) << label;
-    EXPECT_EQ(loop.cold_repaired, sched.cold_repaired) << label;
-    EXPECT_EQ(loop.departed, sched.departed) << label;
-    EXPECT_EQ(loop.skipped_steps, sched.skipped_steps) << label;
-  }
-
-  static void ExpectSameResult(const sim::QueryResult& a,
-                               const sim::QueryResult& b,
-                               const std::string& label) {
-    EXPECT_EQ(a.ids, b.ids) << label;
-    EXPECT_EQ(a.knn_distances, b.knn_distances) << label;
-    EXPECT_EQ(a.completed, b.completed) << label;
-    EXPECT_EQ(a.generation, b.generation) << label;
-    EXPECT_EQ(a.restarts, b.restarts) << label;
-    EXPECT_EQ(a.latency_bytes, b.latency_bytes) << label;
-    EXPECT_EQ(a.tuning_bytes, b.tuning_bytes) << label;
-    EXPECT_EQ(a.repaired, b.repaired) << label;
-  }
-
   static void ExpectSameSteps(
       const std::vector<std::vector<sim::TrajectoryStep>>& loop,
       const std::vector<std::vector<sim::TrajectoryStep>>& sched,
@@ -195,9 +162,7 @@ class EngineEquivalence : public ::testing::Test {
         const std::string at =
             label + " client " + std::to_string(c) + " step " +
             std::to_string(s);
-        EXPECT_EQ(loop[c][s].ran, sched[c][s].ran) << at;
-        ExpectSameResult(loop[c][s].warm, sched[c][s].warm, at + " warm");
-        ExpectSameResult(loop[c][s].cold, sched[c][s].cold, at + " cold");
+        EXPECT_EQ(loop[c][s], sched[c][s]) << at;
       }
     }
   }
@@ -216,7 +181,7 @@ class EngineEquivalence : public ::testing::Test {
     base.engine = sim::TrajectoryEngine::kScheduler;
     base.results = &sched_steps;
     const auto sched = sim::RunTrajectories(handle, wl, base);
-    ExpectSameMetrics(loop, sched, label);
+    EXPECT_EQ(loop, sched) << label;
     ExpectSameSteps(loop_steps, sched_steps, label);
   }
 
@@ -313,7 +278,7 @@ TEST_F(EngineEquivalence, GenerationalBroadcastWithRepublications) {
     opt.engine = sim::TrajectoryEngine::kScheduler;
     opt.results = &sched_steps;
     const auto sched = sim::RunTrajectories(gi, wl, opt);
-    ExpectSameMetrics(loop, sched, "generational");
+    EXPECT_EQ(loop, sched) << "generational";
     ExpectSameSteps(loop_steps, sched_steps, "generational");
     // The axis must actually exercise cross-generation execution.
     if (theta == 0.0) EXPECT_GT(loop.restarted + loop.steps, 0u);
@@ -385,8 +350,7 @@ TEST_F(EngineEquivalence, SchedulerWorkerCountBitIdentity) {
     opt.workers = workers;
     opt.results = &steps;
     const auto sharded = sim::RunTrajectories(dsi_air_, wl, opt);
-    ExpectSameMetrics(baseline, sharded,
-                      "workers=" + std::to_string(workers));
+    EXPECT_EQ(baseline, sharded) << "workers=" << workers;
     ExpectSameSteps(base_steps, steps, "workers=" + std::to_string(workers));
   }
 }
@@ -412,16 +376,11 @@ TEST_F(EngineEquivalence, ScheduledRunnerMatchesWorkloadOrder) {
       opt.scheduled = true;
       opt.results = &results;
       const auto got = sim::RunWorkload(*handle, workload, opt);
-      EXPECT_DOUBLE_EQ(base.latency_bytes, got.latency_bytes)
-          << handle->family();
-      EXPECT_DOUBLE_EQ(base.tuning_bytes, got.tuning_bytes)
-          << handle->family();
-      EXPECT_EQ(base.incomplete, got.incomplete) << handle->family();
+      EXPECT_EQ(base, got) << handle->family();
       ASSERT_EQ(results.size(), plain_results.size());
       for (size_t i = 0; i < results.size(); ++i) {
-        ExpectSameResult(plain_results[i], results[i],
-                         std::string(handle->family()) + " query " +
-                             std::to_string(i));
+        EXPECT_EQ(plain_results[i], results[i])
+            << handle->family() << " query " << i;
       }
     }
   }
@@ -443,13 +402,10 @@ TEST_F(EngineEquivalence, ScheduledRunnerMatchesWorkloadOrder) {
   opt.scheduled = true;
   opt.results = &results;
   const auto got = sim::GenerationalRun(gi, workload, opt);
-  EXPECT_DOUBLE_EQ(base.latency_bytes, got.latency_bytes);
-  EXPECT_DOUBLE_EQ(base.tuning_bytes, got.tuning_bytes);
-  EXPECT_EQ(base.restarted, got.restarted);
+  EXPECT_EQ(base, got);
   ASSERT_EQ(results.size(), plain_results.size());
   for (size_t i = 0; i < results.size(); ++i) {
-    ExpectSameResult(plain_results[i], results[i],
-                     "generational query " + std::to_string(i));
+    EXPECT_EQ(plain_results[i], results[i]) << "generational query " << i;
   }
 }
 
