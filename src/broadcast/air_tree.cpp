@@ -7,11 +7,14 @@ namespace dsi::broadcast {
 
 namespace {
 
-/// Preorder (left-to-right) node order of the whole tree, plus the data
-/// ids in leaf order.
-void PreorderAndData(const AirTreeSpec& spec, std::vector<uint32_t>* order,
+constexpr uint64_t kWatchdogCycles = 400;
+
+/// Preorder (left-to-right) node order of the subtree rooted at \p root,
+/// plus its data ids in leaf order.
+void PreorderAndData(const AirTreeSpec& spec, uint32_t root,
+                     std::vector<uint32_t>* order,
                      std::vector<uint32_t>* data_ids) {
-  std::vector<uint32_t> stack{spec.root};
+  std::vector<uint32_t> stack{root};
   while (!stack.empty()) {
     const uint32_t id = stack.back();
     stack.pop_back();
@@ -114,23 +117,7 @@ void AirTreeBroadcast::BuildDistributed(uint32_t target_subtrees) {
     // Non-replicated part: subtree nodes in DFS preorder, then its data.
     std::vector<uint32_t> order;
     std::vector<uint32_t> data_ids;
-    {
-      std::vector<uint32_t> stack{r.node};
-      while (!stack.empty()) {
-        const uint32_t id = stack.back();
-        stack.pop_back();
-        order.push_back(id);
-        const auto& node = spec_.nodes[id];
-        if (node.level == 0) {
-          for (uint32_t d : node.children) data_ids.push_back(d);
-        } else {
-          for (auto it = node.children.rbegin(); it != node.children.rend();
-               ++it) {
-            stack.push_back(*it);
-          }
-        }
-      }
-    }
+    PreorderAndData(spec_, r.node, &order, &data_ids);
     for (uint32_t id : order) {
       node_slots_[id].push_back(program_.AddBucket(
           BucketKind::kIndexNode, id, spec_.nodes[id].size_bytes));
@@ -150,7 +137,7 @@ void AirTreeBroadcast::BuildOneM(uint32_t copies) {
 
   std::vector<uint32_t> order;
   std::vector<uint32_t> data_ids;
-  PreorderAndData(spec_, &order, &data_ids);
+  PreorderAndData(spec_, spec_.root, &order, &data_ids);
 
   const size_t total = data_ids.size();
   const size_t chunk = (total + copies - 1) / std::max<uint32_t>(copies, 1);
@@ -193,6 +180,104 @@ size_t AirTreeBroadcast::DataSlot(uint32_t data_id) const {
   assert(data_id < data_slot_.size());
   assert(data_slot_[data_id] != SIZE_MAX);
   return data_slot_[data_id];
+}
+
+AirTreeReader::AirTreeReader(const AirTreeBroadcast& air,
+                             ClientSession* session)
+    : air_(&air),
+      session_(session),
+      node_cache_(air.spec().nodes.size(), false),
+      retrieved_(air.spec().data_sizes.size(), 0) {
+  session_->InitialProbe();
+  generation_ = session_->generation();
+  deadline_packets_ = session_->now_packets() +
+                      kWatchdogCycles * session_->program().cycle_packets();
+}
+
+void AirTreeReader::BeginQuery() {
+  pending_data_.clear();
+  stats_.completed = true;
+  stats_.stale = false;
+  deadline_packets_ = session_->now_packets() +
+                      kWatchdogCycles * session_->program().cycle_packets();
+}
+
+bool AirTreeReader::ShouldAbort() {
+  if (!WatchdogExpired() && !stats_.stale) return false;
+  stats_.completed = false;
+  return true;
+}
+
+void AirTreeReader::NoteLoss() {
+  if (session_->generation() != generation_) {
+    stats_.stale = true;
+    stats_.completed = false;
+  } else {
+    ++stats_.buckets_lost;
+  }
+}
+
+bool AirTreeReader::ListenNode(uint32_t node_id) {
+  if (session_->ReadBucket(air_->NextNodeSlot(node_id, *session_))) {
+    ++stats_.nodes_read;
+    node_cache_[node_id] = true;
+    return true;
+  }
+  NoteLoss();
+  return false;
+}
+
+bool AirTreeReader::TryReadData(uint32_t data_id) {
+  if (retrieved_[data_id]) return true;
+  if (session_->ReadBucket(air_->DataSlot(data_id))) {
+    ++stats_.objects_read;
+    retrieved_[data_id] = 1;
+    return true;
+  }
+  NoteLoss();
+  return false;
+}
+
+std::pair<size_t, uint64_t> AirTreeReader::SoonestPending() const {
+  size_t best_i = 0;
+  uint64_t best_wait = UINT64_MAX;
+  for (size_t i = 0; i < pending_data_.size(); ++i) {
+    const uint64_t w =
+        session_->PacketsUntil(air_->DataSlot(pending_data_[i]));
+    if (w < best_wait) {
+      best_wait = w;
+      best_i = i;
+    }
+  }
+  return {best_i, best_wait};
+}
+
+void AirTreeReader::ReadPending(size_t i) {
+  if (TryReadData(pending_data_[i])) {
+    pending_data_.erase(pending_data_.begin() + static_cast<ptrdiff_t>(i));
+  }
+}
+
+void AirTreeReader::FlushPassingData(uint32_t before_node) {
+  // Repeatedly read the pending data bucket that comes up soonest, as long
+  // as it arrives before the node we are headed to (recomputed each pass,
+  // since reading advances time). A lost bucket stays pending: its next
+  // occurrence is a cycle away, so the sweep moves on to whatever passes
+  // next instead of blocking on the loss.
+  while (!pending_data_.empty() && !WatchdogExpired() && !stats_.stale) {
+    const auto [i, wait] = SoonestPending();
+    if (wait >= PacketsUntilNode(before_node)) return;
+    ReadPending(i);
+  }
+}
+
+void AirTreeReader::DrainPending() {
+  // Sweep in passing order; lost buckets stay pending and are retried when
+  // they come around again, alongside everything else still pending.
+  while (!pending_data_.empty()) {
+    if (ShouldAbort()) return;
+    ReadPending(SoonestPending().first);
+  }
 }
 
 }  // namespace dsi::broadcast

@@ -9,8 +9,6 @@ namespace dsi::hci {
 
 namespace {
 
-constexpr uint64_t kWatchdogCycles = 400;
-
 std::vector<datasets::SpatialObject> SortByHc(
     std::vector<datasets::SpatialObject> objects,
     const hilbert::SpaceMapper& mapper) {
@@ -51,113 +49,37 @@ HciIndex::HciIndex(std::vector<datasets::SpatialObject> objects,
 // ---------------------------------------------------------------------------
 
 HciClient::HciClient(const HciIndex& index, broadcast::ClientSession* session)
-    : index_(index),
-      session_(session),
-      node_cache_(index.tree().num_nodes(), false),
-      retrieved_(index.sorted_objects().size(), 0) {
-  session_->InitialProbe();
-  generation_ = session_->generation();
-  deadline_packets_ = session_->now_packets() +
-                      kWatchdogCycles * session_->program().cycle_packets();
-}
-
-void HciClient::BeginQuery() {
-  pending_data_.clear();
-  stats_.completed = true;
-  stats_.stale = false;
-  deadline_packets_ = session_->now_packets() +
-                      kWatchdogCycles * session_->program().cycle_packets();
-}
-
-bool HciClient::WatchdogExpired() const {
-  return session_->now_packets() >= deadline_packets_;
-}
+    : index_(index), reader_(index.air(), session) {}
 
 bool HciClient::ReadNode(uint32_t node_id) {
-  if (node_cache_[node_id]) return true;  // already downloaded this query
-  // Drain pending data buckets that pass by before the node: listening to
-  // them now is free latency-wise, and skipping them would cost a cycle.
-  FlushPassingData(node_id);
-  if (stats_.stale) return false;  // republished while draining
-  while (!WatchdogExpired()) {
-    const size_t slot = index_.air().NextNodeSlot(node_id, *session_);
-    if (session_->ReadBucket(slot)) {
-      ++stats_.nodes_read;
-      node_cache_[node_id] = true;
-      if (index_.tree().is_leaf(node_id)) {
-        // Keep the (first key -> leaf) anchors sorted; a query downloads
-        // few distinct leaves, so ordered insertion into the flat vector
-        // is cheaper than a node-based map.
-        const uint64_t front_key = index_.tree().entries(node_id).front().key;
-        auto it = std::lower_bound(
-            cached_leaf_by_front_.begin(), cached_leaf_by_front_.end(),
-            front_key, [](const std::pair<uint64_t, uint32_t>& e, uint64_t v) {
-              return e.first < v;
-            });
-        if (it != cached_leaf_by_front_.end() && it->first == front_key) {
-          it->second = node_id;
-        } else {
-          cached_leaf_by_front_.insert(it, {front_key, node_id});
-        }
-      }
-      return true;
-    }
-    if (session_->generation() != generation_) {
-      // Republished mid-query: node ids and slots belong to the dead
-      // layout; the caller aborts with whatever data was retrieved.
-      stats_.stale = true;
-      stats_.completed = false;
-      return false;
-    }
-    ++stats_.buckets_lost;
+  if (reader_.node_cached(node_id)) return true;
+  // Drain pending data buckets that pass by before the node — once: a
+  // retry after a lost node goes straight for its next occurrence.
+  reader_.FlushPassingData(node_id);
+  while (!reader_.ShouldAbort()) {
     // A lost tree node can only be recovered from a later occurrence
     // (next path replica or next cycle) — the tree-index weakness in
     // error-prone environments (Section 5).
-  }
-  stats_.completed = false;
-  return false;
-}
-
-bool HciClient::TryReadData(uint32_t data_id) {
-  if (retrieved_[data_id]) return true;
-  if (session_->ReadBucket(index_.air().DataSlot(data_id))) {
-    ++stats_.objects_read;
-    retrieved_[data_id] = 1;
-    return true;
-  }
-  if (session_->generation() != generation_) {
-    stats_.stale = true;
-    stats_.completed = false;
-    return false;
-  }
-  ++stats_.buckets_lost;
-  return false;
-}
-
-void HciClient::FlushPassingData(uint32_t before_node) {
-  // Repeatedly read the pending data bucket that comes up soonest, as long
-  // as it arrives before the node we are headed to. A lost bucket stays
-  // pending; its next occurrence is a cycle away, so the sweep moves on
-  // instead of blocking on the loss.
-  while (!pending_data_.empty() && !WatchdogExpired() && !stats_.stale) {
-    const size_t node_slot = index_.air().NextNodeSlot(before_node, *session_);
-    const uint64_t node_wait = session_->PacketsUntil(node_slot);
-    uint64_t best_wait = UINT64_MAX;
-    size_t best_i = SIZE_MAX;
-    for (size_t i = 0; i < pending_data_.size(); ++i) {
-      const uint64_t w =
-          session_->PacketsUntil(index_.air().DataSlot(pending_data_[i]));
-      if (w < best_wait) {
-        best_wait = w;
-        best_i = i;
+    if (!reader_.ListenNode(node_id)) continue;
+    if (index_.tree().is_leaf(node_id)) {
+      // Keep the (first key -> leaf) anchors sorted; a query downloads
+      // few distinct leaves, so ordered insertion into the flat vector
+      // is cheaper than a node-based map.
+      const uint64_t front_key = index_.tree().entries(node_id).front().key;
+      auto it = std::lower_bound(
+          cached_leaf_by_front_.begin(), cached_leaf_by_front_.end(),
+          front_key, [](const std::pair<uint64_t, uint32_t>& e, uint64_t v) {
+            return e.first < v;
+          });
+      if (it != cached_leaf_by_front_.end() && it->first == front_key) {
+        it->second = node_id;
+      } else {
+        cached_leaf_by_front_.insert(it, {front_key, node_id});
       }
     }
-    if (best_i == SIZE_MAX || best_wait >= node_wait) return;
-    if (TryReadData(pending_data_[best_i])) {
-      pending_data_.erase(pending_data_.begin() +
-                          static_cast<ptrdiff_t>(best_i));
-    }
+    return true;
   }
+  return false;
 }
 
 void HciClient::RetrieveRanges(const std::vector<hilbert::HcRange>& targets) {
@@ -168,16 +90,13 @@ void HciClient::RetrieveRanges(const std::vector<hilbert::HcRange>& targets) {
   // major cycle while leaf scans stay pipelined within their tier, so the
   // descent is worth abandoning much sooner. Single-disk sessions (plain
   // or coded) keep the index's own cycle so their paths stay untouched.
-  const broadcast::BroadcastProgram& on_air = session_->program();
+  const broadcast::BroadcastProgram& on_air = reader_.session().program();
   const uint64_t half_cycle =
       on_air.multi_disk()
           ? on_air.cycle_packets() / (2 * on_air.num_disks())
           : index_.program().cycle_packets() / 2;
   for (const hilbert::HcRange& range : targets) {
-    if (WatchdogExpired() || stats_.stale) {
-      stats_.completed = false;
-      return;
-    }
+    if (reader_.ShouldAbort()) return;
     // Cached anchor: the downloaded leaf with the largest first key
     // *strictly below* range.lo, if any (strictness matters with duplicate
     // keys: a run equal to range.lo may begin before a leaf whose first
@@ -214,9 +133,8 @@ void HciClient::RetrieveRanges(const std::vector<hilbert::HcRange>& targets) {
         const uint32_t child =
             tree.entries(node)[tree.DescendIndexForRange(node, range.lo)]
                 .child;
-        if (!node_cache_[child] && anchor != UINT32_MAX &&
-            session_->PacketsUntil(
-                index_.air().NextNodeSlot(child, *session_)) > half_cycle) {
+        if (!reader_.node_cached(child) && anchor != UINT32_MAX &&
+            reader_.PacketsUntilNode(child) > half_cycle) {
           by_scan = true;
           break;
         }
@@ -237,9 +155,7 @@ void HciClient::RetrieveRanges(const std::vector<hilbert::HcRange>& targets) {
     while (true) {
       const auto& es = tree.entries(node);
       for (const bptree::BptEntry& e : es) {
-        if (e.key >= range.lo && e.key <= range.hi && !retrieved_[e.child]) {
-          pending_data_.push_back(e.child);
-        }
+        if (e.key >= range.lo && e.key <= range.hi) reader_.Want(e.child);
       }
       if (es.back().key > range.hi) break;
       const uint32_t next = tree.NextLeaf(node);
@@ -248,42 +164,16 @@ void HciClient::RetrieveRanges(const std::vector<hilbert::HcRange>& targets) {
       node = next;
     }
   }
-  // Drain the remaining pending data in occurrence order; lost buckets stay
-  // pending and are retried when they come around again (sweeping, never
-  // blocking a cycle per loss).
-  while (!pending_data_.empty()) {
-    if (WatchdogExpired() || stats_.stale) {
-      stats_.completed = false;
-      return;
-    }
-    uint64_t best_wait = UINT64_MAX;
-    size_t best_i = 0;
-    for (size_t i = 0; i < pending_data_.size(); ++i) {
-      const uint64_t w =
-          session_->PacketsUntil(index_.air().DataSlot(pending_data_[i]));
-      if (w < best_wait) {
-        best_wait = w;
-        best_i = i;
-      }
-    }
-    if (TryReadData(pending_data_[best_i])) {
-      pending_data_.erase(pending_data_.begin() +
-                          static_cast<ptrdiff_t>(best_i));
-    }
-  }
+  reader_.DrainPending();
 }
 
 std::vector<datasets::SpatialObject> HciClient::WindowQuery(
     const common::Rect& window) {
   RetrieveRanges(index_.mapper().WindowToRanges(window));
-  std::vector<datasets::SpatialObject> out;
-  const auto& objects = index_.sorted_objects();
-  for (size_t i = 0; i < retrieved_.size(); ++i) {
-    if (retrieved_[i] && window.Contains(objects[i].location)) {
-      out.push_back(objects[i]);
-    }
-  }
-  return out;
+  return reader_.RetrievedWhere(
+      index_.sorted_objects(), [&](const datasets::SpatialObject& o) {
+        return window.Contains(o.location);
+      });
 }
 
 std::vector<datasets::SpatialObject> HciClient::KnnQuery(
@@ -360,11 +250,9 @@ std::vector<datasets::SpatialObject> HciClient::KnnQuery(
     RetrieveRanges(mapper.CircleToRanges(q, radius));
   }
 
-  std::vector<datasets::SpatialObject> out;
-  const auto& objects = index_.sorted_objects();
-  for (size_t i = 0; i < retrieved_.size(); ++i) {
-    if (retrieved_[i]) out.push_back(objects[i]);
-  }
+  std::vector<datasets::SpatialObject> out = reader_.RetrievedWhere(
+      index_.sorted_objects(),
+      [](const datasets::SpatialObject&) { return true; });
   std::sort(out.begin(), out.end(),
             [&](const datasets::SpatialObject& a,
                 const datasets::SpatialObject& b) {

@@ -6,12 +6,6 @@
 
 namespace dsi::rtree {
 
-namespace {
-
-constexpr uint64_t kWatchdogCycles = 400;
-
-}  // namespace
-
 RtreeIndex::RtreeIndex(std::vector<datasets::SpatialObject> objects,
                        size_t packet_capacity, uint32_t target_subtrees,
                        broadcast::TreeLayout layout)
@@ -24,117 +18,17 @@ RtreeIndex::RtreeIndex(std::vector<datasets::SpatialObject> objects,
 
 RtreeClient::RtreeClient(const RtreeIndex& index,
                          broadcast::ClientSession* session)
-    : index_(index),
-      session_(session),
-      node_cache_(index.tree().num_nodes(), false),
-      retrieved_(index.str_objects().size(), 0) {
-  session_->InitialProbe();
-  generation_ = session_->generation();
-  deadline_packets_ = session_->now_packets() +
-                      kWatchdogCycles * session_->program().cycle_packets();
-}
-
-void RtreeClient::BeginQuery() {
-  pending_data_.clear();
-  stats_.completed = true;
-  stats_.stale = false;
-  deadline_packets_ = session_->now_packets() +
-                      kWatchdogCycles * session_->program().cycle_packets();
-}
-
-bool RtreeClient::WatchdogExpired() const {
-  return session_->now_packets() >= deadline_packets_;
-}
+    : index_(index), reader_(index.air(), session) {}
 
 bool RtreeClient::TryReadNode(uint32_t node_id) {
-  if (node_cache_[node_id]) return true;  // already downloaded this query
+  if (reader_.node_cached(node_id)) return true;
   // Drain pending data buckets that pass by on the way to the node.
-  FlushPassingData(node_id);
-  if (stats_.stale) return false;  // republished while draining
-  const size_t slot = index_.air().NextNodeSlot(node_id, *session_);
-  if (session_->ReadBucket(slot)) {
-    ++stats_.nodes_read;
-    node_cache_[node_id] = true;
-    return true;
-  }
-  if (session_->generation() != generation_) {
-    stats_.stale = true;
-    stats_.completed = false;
-    return false;
-  }
-  // Lost: the node stays in the caller's frontier and competes again at
-  // its next occurrence. Blocking here would let every other frontier
-  // node fly by — a full-tree traversal under heavy loss then costs O(tree)
-  // extra cycles and spuriously trips the watchdog.
-  ++stats_.buckets_lost;
-  return false;
-}
-
-bool RtreeClient::TryReadData(uint32_t data_id) {
-  if (retrieved_[data_id]) return true;
-  if (session_->ReadBucket(index_.air().DataSlot(data_id))) {
-    ++stats_.objects_read;
-    retrieved_[data_id] = 1;
-    return true;
-  }
-  if (session_->generation() != generation_) {
-    stats_.stale = true;
-    stats_.completed = false;
-    return false;
-  }
-  ++stats_.buckets_lost;
-  return false;
-}
-
-void RtreeClient::FlushPassingData(uint32_t before_node) {
-  // Repeatedly read the pending data bucket that comes up soonest, as long
-  // as it arrives before the node we are headed to (recomputed each pass,
-  // since reading advances time). A lost bucket stays pending: its next
-  // occurrence is a cycle away, so the sweep moves on to whatever passes
-  // next instead of blocking on the loss.
-  while (!pending_data_.empty() && !WatchdogExpired() && !stats_.stale) {
-    const uint64_t node_wait = session_->PacketsUntil(
-        index_.air().NextNodeSlot(before_node, *session_));
-    uint64_t best_wait = UINT64_MAX;
-    size_t best_i = SIZE_MAX;
-    for (size_t i = 0; i < pending_data_.size(); ++i) {
-      const uint64_t w =
-          session_->PacketsUntil(index_.air().DataSlot(pending_data_[i]));
-      if (w < best_wait) {
-        best_wait = w;
-        best_i = i;
-      }
-    }
-    if (best_i == SIZE_MAX || best_wait >= node_wait) return;
-    if (TryReadData(pending_data_[best_i])) {
-      pending_data_.erase(pending_data_.begin() +
-                          static_cast<ptrdiff_t>(best_i));
-    }
-  }
-}
-
-void RtreeClient::DrainPendingData() {
-  // Sweep in passing order; lost buckets stay pending and are retried when
-  // they come around again, alongside everything else still pending.
-  // (Blocking a full cycle per lost bucket would cost O(pending) extra
-  // cycles under heavy loss and spuriously trip the watchdog.)
-  while (!pending_data_.empty() && !WatchdogExpired() && !stats_.stale) {
-    uint64_t best_wait = UINT64_MAX;
-    size_t best_i = 0;
-    for (size_t i = 0; i < pending_data_.size(); ++i) {
-      const uint64_t w =
-          session_->PacketsUntil(index_.air().DataSlot(pending_data_[i]));
-      if (w < best_wait) {
-        best_wait = w;
-        best_i = i;
-      }
-    }
-    if (TryReadData(pending_data_[best_i])) {
-      pending_data_.erase(pending_data_.begin() +
-                          static_cast<ptrdiff_t>(best_i));
-    }
-  }
-  if (!pending_data_.empty()) stats_.completed = false;
+  reader_.FlushPassingData(node_id);
+  // A lost node stays in the caller's frontier and competes again at its
+  // next occurrence. Blocking here would let every other frontier node fly
+  // by — a full-tree traversal under heavy loss then costs O(tree) extra
+  // cycles and spuriously trips the watchdog.
+  return !reader_.stats().stale && reader_.ListenNode(node_id);
 }
 
 size_t RtreeClient::EarliestFrontierIndex(
@@ -142,8 +36,7 @@ size_t RtreeClient::EarliestFrontierIndex(
   uint64_t best_wait = UINT64_MAX;
   size_t best_i = SIZE_MAX;
   for (size_t i = 0; i < frontier.size(); ++i) {
-    const uint64_t w = session_->PacketsUntil(
-        index_.air().NextNodeSlot(frontier[i], *session_));
+    const uint64_t w = reader_.PacketsUntilNode(frontier[i]);
     if (w < best_wait) {
       best_wait = w;
       best_i = i;
@@ -157,10 +50,8 @@ std::vector<datasets::SpatialObject> RtreeClient::WindowQuery(
   const Rtree& tree = index_.tree();
   std::vector<uint32_t> frontier{tree.root()};
   while (!frontier.empty()) {
-    if (WatchdogExpired() || stats_.stale) {
-      stats_.completed = false;
-      break;  // report what was retrieved; completed=false flags the abort
-    }
+    // Report what was retrieved; completed=false flags the abort.
+    if (reader_.ShouldAbort()) break;
     const size_t i = EarliestFrontierIndex(frontier);
     const uint32_t node = frontier[i];
     if (!TryReadNode(node)) continue;  // lost: retried at next occurrence
@@ -170,21 +61,17 @@ std::vector<datasets::SpatialObject> RtreeClient::WindowQuery(
       if (tree.is_leaf(node)) {
         // Leaf entries carry the exact point: membership is known here,
         // the payload still has to be fetched from the data segment.
-        if (!retrieved_[e.child]) pending_data_.push_back(e.child);
+        reader_.Want(e.child);
       } else {
         frontier.push_back(e.child);
       }
     }
   }
-  DrainPendingData();
-  std::vector<datasets::SpatialObject> out;
-  const auto& objects = index_.str_objects();
-  for (size_t i = 0; i < retrieved_.size(); ++i) {
-    if (retrieved_[i] && window.Contains(objects[i].location)) {
-      out.push_back(objects[i]);
-    }
-  }
-  return out;
+  reader_.DrainPending();
+  return reader_.RetrievedWhere(
+      index_.str_objects(), [&](const datasets::SpatialObject& o) {
+        return window.Contains(o.location);
+      });
 }
 
 std::vector<datasets::SpatialObject> RtreeClient::KnnQuery(
@@ -214,10 +101,8 @@ std::vector<datasets::SpatialObject> RtreeClient::KnnQuery(
 
   std::vector<uint32_t> frontier{tree.root()};
   while (!frontier.empty()) {
-    if (WatchdogExpired() || stats_.stale) {
-      stats_.completed = false;
-      break;  // fetch what is already known; completed=false flags it
-    }
+    // Fetch what is already known; completed=false flags the abort.
+    if (reader_.ShouldAbort()) break;
     // Prune frontier nodes that cannot beat the current k-th candidate.
     std::erase_if(frontier, [&](uint32_t id) {
       return tree.node_mbr(id).MinSquaredDistance(q) > tau2();
@@ -239,15 +124,13 @@ std::vector<datasets::SpatialObject> RtreeClient::KnnQuery(
   }
 
   // Fetch the answer objects' payloads.
-  for (const Candidate& c : candidates) {
-    if (!retrieved_[c.data_id]) pending_data_.push_back(c.data_id);
-  }
-  DrainPendingData();
+  for (const Candidate& c : candidates) reader_.Want(c.data_id);
+  reader_.DrainPending();
 
   std::vector<datasets::SpatialObject> out;
   out.reserve(candidates.size());
   for (const Candidate& c : candidates) {
-    if (retrieved_[c.data_id]) {
+    if (reader_.retrieved(c.data_id)) {
       out.push_back(index_.str_objects()[c.data_id]);
     }
   }

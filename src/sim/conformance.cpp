@@ -525,6 +525,7 @@ void CheckTrajectories(const std::vector<const air::AirIndexHandle*>& gens,
       }
     }
   }
+  report->incomplete += warm.incomplete + cold.incomplete;
   // Exact churn accounting rides along: ran + skipped covers the workload
   // with nothing lost, a churn-free case never skips or departs, and the
   // departed count can never exceed the population.

@@ -4,8 +4,10 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "bptree/bptree.hpp"
+#include "broadcast/generation.hpp"
 #include "common/rng.hpp"
 
 namespace dsi::broadcast {
@@ -183,6 +185,116 @@ TEST(AirTreeTest, RealTreeBothLayoutsCoverSameData) {
     EXPECT_GE(dist.NodeSlots(n).size(), 1u);
     EXPECT_EQ(onem.NodeSlots(n).size(), 2u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// AirTreeReader: the client half shared by the R-tree and HCI clients. On
+// MakeSpec() with 3 subtrees each one airs [root][mid][3 leaves][9 data]:
+// data 0..8 belong to subtree 0 (mid 9), 9..17 to subtree 1 (mid 10) and
+// 18..26 to subtree 2 (mid 11).
+// ---------------------------------------------------------------------------
+
+/// Slots the session listened to (kListen events), in listening order.
+std::vector<size_t> ListenedSlots(const std::vector<TraceEvent>& trace) {
+  std::vector<size_t> slots;
+  for (const TraceEvent& e : trace) {
+    if (e.kind == TraceEvent::Kind::kListen) slots.push_back(e.slot);
+  }
+  return slots;
+}
+
+TEST(AirTreeReaderTest, FlushReadsOnlyDataAiringBeforeTheNodeInAiringOrder) {
+  const AirTreeBroadcast air(MakeSpec(), 64, 3, TreeLayout::kDistributed);
+  ClientSession s(air.program(), 0, ErrorModel{}, common::Rng(1));
+  std::vector<TraceEvent> trace;
+  s.set_trace(&trace);
+  AirTreeReader reader(air, &s);
+  // Queued out of airing order; 2 and 5 air before mid 10, 11 and 20 after.
+  for (const uint32_t d : {20u, 5u, 11u, 2u}) reader.Want(d);
+  reader.FlushPassingData(10);
+  EXPECT_EQ(ListenedSlots(trace),
+            (std::vector<size_t>{air.DataSlot(2), air.DataSlot(5)}));
+  EXPECT_TRUE(reader.retrieved(2));
+  EXPECT_TRUE(reader.retrieved(5));
+  EXPECT_FALSE(reader.retrieved(11));
+  EXPECT_FALSE(reader.retrieved(20));
+  EXPECT_EQ(reader.stats().objects_read, 2u);
+  // Stopped before the node went by.
+  EXPECT_LE(s.now_packets(),
+            air.program().bucket(air.NodeSlots(10).front()).start_packet);
+
+  // The drain takes the rest, soonest first, and leaves nothing pending.
+  reader.DrainPending();
+  EXPECT_EQ(ListenedSlots(trace),
+            (std::vector<size_t>{air.DataSlot(2), air.DataSlot(5),
+                                 air.DataSlot(11), air.DataSlot(20)}));
+  EXPECT_EQ(reader.stats().objects_read, 4u);
+  EXPECT_TRUE(reader.stats().completed);
+  const uint64_t done_at = s.now_packets();
+  reader.DrainPending();
+  EXPECT_EQ(s.now_packets(), done_at);
+  EXPECT_EQ(ListenedSlots(trace).size(), 4u);
+}
+
+TEST(AirTreeReaderTest, LostBucketStaysPendingAndCountsEveryAttempt) {
+  const AirTreeBroadcast air(MakeSpec(), 64, 3, TreeLayout::kDistributed);
+  ClientSession s(air.program(), 0,
+                  ErrorModel{1.0, ErrorMode::kPerBucketLoss}, common::Rng(1));
+  std::vector<TraceEvent> trace;
+  s.set_trace(&trace);
+  AirTreeReader reader(air, &s);
+  reader.Want(11);
+  // Data 11 airs before mid 11: one attempt, lost; its next occurrence is
+  // a cycle away, behind the node, so the sweep stops there.
+  reader.FlushPassingData(11);
+  EXPECT_EQ(ListenedSlots(trace), std::vector<size_t>{air.DataSlot(11)});
+  EXPECT_EQ(reader.stats().buckets_lost, 1u);
+  EXPECT_FALSE(reader.retrieved(11));
+  reader.FlushPassingData(11);
+  EXPECT_EQ(reader.stats().buckets_lost, 1u);
+
+  // Still pending: the drain retries it once per cycle until the watchdog
+  // expires, then marks the query incomplete.
+  reader.DrainPending();
+  const std::vector<size_t> listened = ListenedSlots(trace);
+  EXPECT_GT(listened.size(), 2u);
+  for (const size_t slot : listened) EXPECT_EQ(slot, air.DataSlot(11));
+  EXPECT_EQ(reader.stats().buckets_lost, listened.size());
+  EXPECT_TRUE(reader.WatchdogExpired());
+  EXPECT_FALSE(reader.stats().completed);
+  EXPECT_FALSE(reader.stats().stale);
+  EXPECT_FALSE(reader.retrieved(11));
+
+  // The next query starts from a fresh watchdog and an empty pending list.
+  reader.BeginQuery();
+  EXPECT_FALSE(reader.WatchdogExpired());
+  EXPECT_TRUE(reader.stats().completed);
+  reader.DrainPending();
+  EXPECT_EQ(ListenedSlots(trace).size(), listened.size());
+}
+
+TEST(AirTreeReaderTest, ReadAcrossGenerationSwitchGoesStale) {
+  const AirTreeBroadcast gen0(MakeSpec(), 64, 3, TreeLayout::kDistributed);
+  const AirTreeBroadcast gen1(MakeSpec(), 64, 2, TreeLayout::kOneM);
+  GenerationSchedule schedule;
+  schedule.Append(&gen0.program(), 1);
+  schedule.Append(&gen1.program(), 1);
+  ClientSession s(schedule, 0, ErrorModel{}, common::Rng(1));
+  AirTreeReader reader(gen0, &s);
+  // A late datum airs within generation 0...
+  reader.Want(20);
+  reader.DrainPending();
+  EXPECT_TRUE(reader.retrieved(20));
+  EXPECT_EQ(s.generation(), 0u);
+  EXPECT_FALSE(reader.stats().stale);
+  // ...but data 0 has gone by: its next occurrence lies past the switch.
+  reader.Want(0);
+  reader.DrainPending();
+  EXPECT_EQ(s.generation(), 1u);
+  EXPECT_TRUE(reader.stats().stale);
+  EXPECT_FALSE(reader.stats().completed);
+  EXPECT_FALSE(reader.retrieved(0));
+  EXPECT_EQ(reader.stats().buckets_lost, 0u);
 }
 
 }  // namespace

@@ -310,6 +310,31 @@ TEST(ConformanceRegression, TotalLossSurfacesIncompleteInAggregates) {
 }
 
 // ---------------------------------------------------------------------------
+// Trajectory aborts count: ConformanceReport::incomplete is the count
+// conformance_fuzz fails a must-complete case on, so every abort listed in
+// incomplete_queries — warm and cold trajectory steps included — must be
+// in it. The extreme-loss band runs tours at theta > 0.7, where steps do
+// abort.
+// ---------------------------------------------------------------------------
+TEST(ConformanceRegression, TrajectoryAbortsCountAsIncomplete) {
+  size_t trajectory_aborts = 0;
+  for (uint64_t seed = 49; seed < 64; seed += 2) {
+    const sim::ConformanceCase c = sim::MakeConformanceCase(seed);
+    ASSERT_GT(c.theta, 0.7);
+    ASSERT_GT(c.trajectory_clients, 0u);
+    const sim::ConformanceReport r = sim::RunConformanceCase(c);
+    EXPECT_EQ(r.incomplete, r.incomplete_queries.size()) << Describe(r, c);
+    for (const auto& d : r.incomplete_queries) {
+      if (d.detail.starts_with("warm step ") ||
+          d.detail.starts_with("cold step ")) {
+        ++trajectory_aborts;
+      }
+    }
+  }
+  EXPECT_GT(trajectory_aborts, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Bug 3 (campaign finding): under correlated (burst) loss a coded session's
 // repair listens consumed the very airings a sequential scan was about to
 // read; when the repair listens were themselves lost, every lost bucket cost

@@ -20,10 +20,10 @@
 ///     ]
 ///   }
 /// "build" records the library's codegen flavor (native = -march=native via
-/// -DDSI_NATIVE=ON, scalar = portable); the checked-in artifact carries one
-/// block of each, produced by running the tool once per build with --append
-/// on the second run (which splices new rows into an existing file instead
-/// of truncating it).
+/// -DDSI_NATIVE=ON, scalar = portable). The file is not checked in: CI
+/// uploads it as a per-commit artifact. For one file with a block of each,
+/// run the tool once per build with --append on the second run (which
+/// splices new rows into an existing file instead of truncating it).
 ///
 /// The ladder runs objects = 10^4..--max-objects (x10 per rung). Queries
 /// per rung shrink as 2000/{1,5,31,125} so every rung costs roughly the
