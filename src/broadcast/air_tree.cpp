@@ -160,18 +160,14 @@ void AirTreeBroadcast::BuildOneM(uint32_t copies) {
   assert(next_data == total);
 }
 
-size_t AirTreeBroadcast::NextNodeSlot(uint32_t node_id,
-                                      const ClientSession& session) const {
+AirTreeBroadcast::NodeAiring AirTreeBroadcast::NextNodeAiring(
+    uint32_t node_id, const ClientSession& session) const {
   const auto& slots = node_slots_[node_id];
   assert(!slots.empty());
-  size_t best = slots.front();
-  uint64_t best_wait = session.PacketsUntil(slots.front());
+  NodeAiring best{slots.front(), session.PacketsUntil(slots.front())};
   for (size_t i = 1; i < slots.size(); ++i) {
     const uint64_t wait = session.PacketsUntil(slots[i]);
-    if (wait < best_wait) {
-      best_wait = wait;
-      best = slots[i];
-    }
+    if (wait < best.wait) best = {slots[i], wait};
   }
   return best;
 }
@@ -218,7 +214,7 @@ void AirTreeReader::NoteLoss() {
 }
 
 bool AirTreeReader::ListenNode(uint32_t node_id) {
-  if (session_->ReadBucket(air_->NextNodeSlot(node_id, *session_))) {
+  if (session_->ReadBucket(air_->NextNodeAiring(node_id, *session_).slot)) {
     ++stats_.nodes_read;
     node_cache_[node_id] = true;
     return true;

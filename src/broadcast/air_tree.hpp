@@ -76,9 +76,16 @@ class AirTreeBroadcast {
     return static_cast<uint32_t>(subtree_roots_.size());
   }
 
-  /// Slot of the occurrence of node \p node_id that starts soonest at or
-  /// after the session's current time.
-  size_t NextNodeSlot(uint32_t node_id, const ClientSession& session) const;
+  /// One occurrence of a node on air and the doze until it starts.
+  struct NodeAiring {
+    size_t slot = 0;
+    uint64_t wait = 0;  ///< Packets until the occurrence starts.
+  };
+
+  /// The occurrence of node \p node_id that starts soonest at or after the
+  /// session's current time (the first listed on ties), with its wait.
+  NodeAiring NextNodeAiring(uint32_t node_id,
+                            const ClientSession& session) const;
 
   /// Slot of the (single) occurrence of data bucket \p data_id.
   size_t DataSlot(uint32_t data_id) const;
@@ -145,7 +152,7 @@ class AirTreeReader {
 
   /// Packets until the next occurrence of node \p node_id.
   uint64_t PacketsUntilNode(uint32_t node_id) const {
-    return session_->PacketsUntil(air_->NextNodeSlot(node_id, *session_));
+    return air_->NextNodeAiring(node_id, *session_).wait;
   }
 
   /// One listen attempt for node \p node_id at its next occurrence; true

@@ -102,6 +102,14 @@ void ClientSession::ArmErrorModel() {
       errors_.mode == ErrorMode::kBurstLoss) {
     channel_seed_ = rng_.engine()();
   }
+  // kBurstLoss: burst onsets form a hashed Bernoulli process over absolute
+  // packet time with rate chosen so the stationary covered fraction is
+  // theta: a packet is burst-free iff no onset within the preceding mean
+  // burst length, P(clear) = (1 - rate)^len ~= exp(-rate * len) = 1 - theta.
+  if (errors_.mode == ErrorMode::kBurstLoss) {
+    burst_rate_ =
+        std::min(1.0, -std::log1p(-errors_.theta) / kBurstMeanPackets);
+  }
 }
 
 uint64_t ClientSession::CyclePos() const {
@@ -344,18 +352,12 @@ bool ClientSession::DrawLoss(size_t phys_slot, uint64_t listen_start,
 bool ClientSession::BurstLost(uint64_t start, uint64_t packets) const {
   if (errors_.theta <= 0.0) return false;
   if (errors_.theta >= 1.0) return true;
-  // Burst onsets form a hashed Bernoulli process over absolute packet time
-  // with rate chosen so the stationary covered fraction is theta: a packet
-  // is burst-free iff no onset within the preceding mean burst length,
-  // P(clear) = (1 - rate)^len ~= exp(-rate * len) = 1 - theta.
-  const double rate =
-      std::min(1.0, -std::log1p(-errors_.theta) / kBurstMeanPackets);
   const uint64_t first_onset =
       start > kBurstMaxPackets ? start - kBurstMaxPackets : 0;
   for (uint64_t t = first_onset; t < start + packets; ++t) {
     const uint64_t h_on =
         MixBits(channel_seed_ ^ MixBits(t) ^ kBurstOnsetSalt);
-    if (HashToUnit(h_on) >= rate) continue;
+    if (HashToUnit(h_on) >= burst_rate_) continue;
     // An onset at t: draw its (truncated geometric-like) length and test
     // overlap with the listened interval [start, start + packets).
     const uint64_t h_len =

@@ -11,6 +11,7 @@
 /// with an air index would.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "broadcast/generation.hpp"
@@ -217,6 +218,25 @@ class ClientSession {
   /// the next occurrence of \p slot (0 if it starts right now).
   uint64_t PacketsUntil(size_t slot) const;
 
+  /// Data slot of the soonest-airing bucket of data kind \p kind (never
+  /// kParity) whose data slot passes \p keep, or nullopt when none does.
+  /// Walks physical slots in airing order from now and stops at the first
+  /// kept one, so a pick costs the buckets passed before the winner, not
+  /// the cycle. Distinct airings start at distinct packets, so the result
+  /// is the argmin of PacketsUntil over the kept slots. \p keep may be
+  /// asked more than once about a slot that airs more than once.
+  template <typename Keep>
+  std::optional<size_t> SoonestAiring(BucketKind kind, Keep keep) const {
+    const size_t n = program_->num_buckets();
+    size_t phys = program_->SlotStartingAtOrAfter(CyclePos());
+    for (size_t passed = 0; passed < n; ++passed) {
+      const size_t slot = program_->DataSlotOf(phys);
+      if (program_->bucket(phys).kind == kind && keep(slot)) return slot;
+      phys = phys + 1 < n ? phys + 1 : 0;
+    }
+    return std::nullopt;
+  }
+
   /// Metrics so far; latency counts from the tune-in instant to now.
   Metrics metrics() const;
 
@@ -327,6 +347,7 @@ class ClientSession {
   bool event_armed_ = false;      // kSingleEvent: error not yet consumed
   uint64_t event_packet_ = 0;     // kSingleEvent: global corrupted packet
   uint64_t channel_seed_ = 0;     // kPerBucketLoss: per-session channel key
+  double burst_rate_ = 0.0;       // kBurstLoss: per-packet onset probability
   // Erasure-decode symbol buffer: which symbols of ONE parity group, in ONE
   // cycle occurrence of ONE generation, the client holds intact copies of
   // (heard_mask_) or has listened to and lost (lost_mask_).

@@ -497,32 +497,26 @@ uint32_t DsiClient::SelectConservativeHop(
   // Multi-disk cycles: frame position no longer tracks on-air order, so
   // the farthest-qualifying-gap rule below — tuned for a sequential sweep
   // — would pay an arbitrary doze on every hop. Visit instead the
-  // possibly-relevant frame whose table airs soonest, over EVERY frame of
-  // the cycle, not just the current table's exponential entries: the entry
-  // list aims logarithmically far in logical order, and bouncing to a
-  // listed-but-cold frame when an unlisted hot one airs first costs a doze
-  // per hop. Relevance uses only learned bounds (loose for unheard frames)
-  // and TableSlot is structural layout knowledge, the same the flat client
-  // uses to resolve entry pointers. Confirmed-done frames are excluded —
-  // they have nothing left to teach, and a hot one whose loose upper bound
-  // still brushes pending would win the wait race forever. Every pending
-  // target lies inside some not-done frame's conservative bounds, so the
-  // scan always finds a candidate while pending is non-empty; false
-  // positives tighten on read and the set shrinks monotonically.
+  // possibly-relevant frame whose table airs soonest, walking the cycle's
+  // air order from now, not just the current table's exponential entries:
+  // the entry list aims logarithmically far in logical order, and bouncing
+  // to a listed-but-cold frame when an unlisted hot one airs first costs a
+  // doze per hop. Relevance uses only learned bounds (loose for unheard
+  // frames) and the table's frame position is structural layout knowledge,
+  // the same the flat client uses to resolve entry pointers. Confirmed-done
+  // frames are excluded — they have nothing left to teach, and a hot one
+  // whose loose upper bound still brushes pending would win the wait race
+  // forever. Every pending target lies inside some not-done frame's
+  // conservative bounds, so the walk always finds a candidate while pending
+  // is non-empty; false positives tighten on read and the set shrinks
+  // monotonically.
   if (session_->program().multi_disk()) {
-    uint64_t best_wait = 0;
-    uint32_t best_pos = 0;
-    bool found = false;
-    for (uint32_t pos = 0; pos < layout_.num_frames; ++pos) {
-      if (frames_done_[pos] || !FrameMayIntersect(pos, pending)) continue;
-      const uint64_t wait = session_->PacketsUntil(index_.TableSlot(pos));
-      if (!found || wait < best_wait) {
-        found = true;
-        best_wait = wait;
-        best_pos = pos;
-      }
-    }
-    if (found) return best_pos;
+    const auto slot = session_->SoonestAiring(
+        broadcast::BucketKind::kDsiFrameTable, [&](size_t data_slot) {
+          const uint32_t pos = index_.program().bucket(data_slot).payload;
+          return !frames_done_[pos] && FrameMayIntersect(pos, pending);
+        });
+    if (slot) return index_.program().bucket(*slot).payload;
   }
   // Farthest entry whose skipped gap provably cannot hold pending targets.
   for (auto it = table.entries.rbegin(); it != table.entries.rend(); ++it) {

@@ -115,18 +115,13 @@ std::optional<uint32_t> ExpClient::ReadNextTable() {
     size_t slot;
     if (session_->program().multi_disk()) {
       // Logical slot order no longer tracks airing order: take the chunk
-      // table airing soonest — the literal "next table the radio hears" —
-      // instead of the logically next one, which may be tiers away.
-      uint64_t best_wait = UINT64_MAX;
-      slot = 0;
-      for (uint32_t c = 0; c < index_.num_chunks(); ++c) {
-        const size_t s = index_.TableSlot(c);
-        const uint64_t w = session_->PacketsUntil(s);
-        if (w < best_wait) {
-          best_wait = w;
-          slot = s;
-        }
-      }
+      // table airing soonest — the literal "next table the radio hears",
+      // found by walking air order from now — instead of the logically
+      // next one, which may be tiers away.
+      const auto next = session_->SoonestAiring(
+          broadcast::BucketKind::kDsiFrameTable, [](size_t) { return true; });
+      if (!next) return std::nullopt;
+      slot = *next;
     } else {
       slot = session_->current_slot();
       size_t guard = 0;

@@ -138,7 +138,7 @@ TEST(AirTreeOneMTest, DistributedCheaperThanFullReplication) {
   EXPECT_LT(dist.program().cycle_bytes(), onem.program().cycle_bytes());
 }
 
-TEST(AirTreeTest, NextNodeSlotWrapsCorrectly) {
+TEST(AirTreeTest, NextNodeAiringWrapsCorrectly) {
   const AirTreeBroadcast air(MakeSpec(), 64, 3, TreeLayout::kDistributed);
   // Park a session just past the last bucket; the next root copy is the
   // first one of the next cycle.
@@ -146,8 +146,9 @@ TEST(AirTreeTest, NextNodeSlotWrapsCorrectly) {
                   air.program().cycle_packets() - 1, ErrorModel{},
                   common::Rng(1));
   s.InitialProbe();
-  const size_t slot = air.NextNodeSlot(12, s);
-  EXPECT_EQ(slot, air.NodeSlots(12).front());
+  const auto next = air.NextNodeAiring(12, s);
+  EXPECT_EQ(next.slot, air.NodeSlots(12).front());
+  EXPECT_EQ(next.wait, s.PacketsUntil(next.slot));
 }
 
 TEST(AirTreeTest, SingleNodeTree) {

@@ -185,17 +185,18 @@ TEST(AirTreeBroadcastTest, DataFollowsItsSubtreeIndex) {
   EXPECT_GT(data0_start, first_leaf_start);
 }
 
-TEST(AirTreeBroadcastTest, NextNodeSlotPicksSoonestOccurrence) {
+TEST(AirTreeBroadcastTest, NextNodeAiringPicksSoonestOccurrence) {
   const BptTree t(SortedKeys(200, 10), 3);
   const auto spec = t.ToAirSpec(std::vector<uint32_t>(200, 1024));
   const broadcast::AirTreeBroadcast air(spec, 64, 8);
   broadcast::ClientSession s(air.program(), 0, broadcast::ErrorModel{},
                              common::Rng(1));
   s.InitialProbe();
-  const size_t slot = air.NextNodeSlot(t.root(), s);
+  const auto next = air.NextNodeAiring(t.root(), s);
+  EXPECT_EQ(next.wait, s.PacketsUntil(next.slot));
   // No other occurrence of the root is nearer.
   for (size_t other : air.NodeSlots(t.root())) {
-    EXPECT_LE(s.PacketsUntil(slot), s.PacketsUntil(other));
+    EXPECT_LE(next.wait, s.PacketsUntil(other));
   }
 }
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -548,6 +550,88 @@ TEST(ClientSessionTest, MultiDiskReadsResolveToNearestAiring) {
   EXPECT_EQ(s.PacketsUntil(2), 4u);
   ASSERT_TRUE(s.ReadBucket(2));
   EXPECT_EQ(s.now_packets(), 10u);
+}
+
+// ---------------------------------------------------------------------------
+// Soonest-airing walk against the brute-force argmin of PacketsUntil
+// ---------------------------------------------------------------------------
+
+/// Checks SoonestAiring(kind, keep) where \p s stands against the argmin of
+/// PacketsUntil over the data slots of \p kind that pass \p keep: the first
+/// slot on ties, nullopt when none qualifies.
+void ExpectSoonestAiring(const BroadcastProgram& p, const ClientSession& s,
+                         BucketKind kind,
+                         const std::function<bool(size_t)>& keep,
+                         const std::string& what) {
+  std::optional<size_t> want;
+  uint64_t best = UINT64_MAX;
+  for (size_t slot = 0; slot < p.num_data_buckets(); ++slot) {
+    const size_t phys = p.flat() ? slot : p.AiringsOf(slot).front();
+    if (p.bucket(phys).kind != kind || !keep(slot)) continue;
+    const uint64_t wait = s.PacketsUntil(slot);
+    if (wait < best) {
+      best = wait;
+      want = slot;
+    }
+  }
+  ASSERT_EQ(s.SoonestAiring(kind, keep), want)
+      << what << " kind " << static_cast<int>(kind) << " at packet "
+      << s.now_packets();
+}
+
+TEST(ClientSessionTest, SoonestAiringIsTheBruteForceArgmin) {
+  // Fourteen buckets of mixed kinds and airtimes (1 to 7 packets), so the
+  // kind filter and uneven disk shares both show.
+  BroadcastProgram mixed(64);
+  const BucketKind kinds[] = {BucketKind::kDsiFrameTable,
+                              BucketKind::kIndexNode, BucketKind::kDataObject};
+  for (uint32_t i = 0; i < 14; ++i) {
+    mixed.AddBucket(kinds[i % 3], i, 50 + 97 * (i % 5));
+  }
+  mixed.Finalize();
+  std::vector<double> hot7(7, 1.0);
+  hot7[2] = hot7[5] = 10.0;
+  std::vector<double> skew14(14);
+  for (size_t i = 0; i < 14; ++i) skew14[i] = static_cast<double>(i * 5 % 14);
+  const CodingConfig coding{2, 1};
+  const std::pair<const char*, BroadcastProgram> programs[] = {
+      {"flat", MakeSimpleProgram()},
+      {"coded", MakeCodedProgram(MakeSimpleProgram(), coding)},
+      {"2-disk", MakeMultiDiskProgram(MakeSevenSlots(), 2, hot7)},
+      {"3-disk", MakeMultiDiskProgram(mixed, 3, skew14)},
+      {"coded 2-disk",
+       MakeCodedProgram(MakeMultiDiskProgram(MakeSevenSlots(), 2, hot7),
+                        coding)},
+      {"coded 3-disk",
+       MakeCodedProgram(MakeMultiDiskProgram(mixed, 3, skew14), coding)}};
+  // A keep that rejects everything expects nullopt; on the coded cycles
+  // the walk passes parity buckets, which match no data kind.
+  const std::function<bool(size_t)> keeps[] = {
+      [](size_t) { return true; },
+      [](size_t) { return false; },
+      [](size_t slot) { return slot % 2 == 1; },
+      [](size_t slot) { return slot % 3 == 1; },
+      [](size_t slot) { return slot == 6; }};
+  for (const auto& [name, p] : programs) {
+    auto check = [&](const ClientSession& s) {
+      for (const BucketKind kind : kinds) {
+        for (const auto& keep : keeps) {
+          ExpectSoonestAiring(p, s, kind, keep, name);
+        }
+      }
+    };
+    // Every tune-in packet of one cycle, where the probe parks, then the
+    // boundaries a read of the parked slot and a read of slot 0 end on.
+    for (uint64_t tune_in = 0; tune_in < p.cycle_packets(); ++tune_in) {
+      ClientSession s(p, tune_in, ErrorModel{}, common::Rng(1));
+      s.InitialProbe();
+      check(s);
+      ASSERT_TRUE(s.ReadBucket(s.current_slot()));
+      check(s);
+      ASSERT_TRUE(s.ReadBucket(0));
+      check(s);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
